@@ -13,7 +13,8 @@
 #include <string>
 
 #include "src/core/random.h"
-#include "src/search/scan.h"
+#include "src/core/flat_dataset.h"
+#include "src/search/engine.h"
 #include "src/shape/generate.h"
 
 int main() {
@@ -40,12 +41,11 @@ int main() {
   }
 
   const Series query = six;
+  const FlatDataset flat = FlatDataset::FromItems(db);
 
   std::printf("query: an upright '6'\n\n");
   {
-    ScanOptions unlimited;
-    const auto knn = KnnSearchDatabase(db, query, 5, ScanAlgorithm::kWedge,
-                                       unlimited);
+    const auto knn = QueryEngine(flat).Knn(query, 5);
     std::printf("unrestricted rotation invariance (sixes and nines tie):\n");
     for (const Neighbor& nb : knn) {
       std::printf("  %-22s d=%.4f\n",
@@ -55,10 +55,9 @@ int main() {
   }
   int sixes_in_top3 = 0;
   {
-    ScanOptions limited;
+    EngineOptions limited;
     limited.rotation.max_shift = static_cast<int>(n) * 15 / 360;  // 15 deg
-    const auto knn =
-        KnnSearchDatabase(db, query, 3, ScanAlgorithm::kWedge, limited);
+    const auto knn = QueryEngine(flat, limited).Knn(query, 3);
     std::printf("\nrotation-limited to +/-15 degrees (only sixes remain "
                 "close):\n");
     for (const Neighbor& nb : knn) {
@@ -76,16 +75,12 @@ int main() {
   const Series d_shape =
       ZNormalized(RadialProfile(ButterflySpec(&rng, 0.2), n));
   const Series b_shape = Reversed(d_shape);
-  std::vector<Series> letters = {b_shape};
-  ScanOptions plain;
-  ScanOptions mirror;
+  const FlatDataset letters = FlatDataset::FromItems({b_shape});
+  EngineOptions mirror;
   mirror.rotation.mirror = true;
-  const double without =
-      SearchDatabase(letters, d_shape, ScanAlgorithm::kWedge, plain)
-          .best_distance;
+  const double without = QueryEngine(letters).Search(d_shape).best_distance;
   const double with =
-      SearchDatabase(letters, d_shape, ScanAlgorithm::kWedge, mirror)
-          .best_distance;
+      QueryEngine(letters, mirror).Search(d_shape).best_distance;
   std::printf("\n'd' vs 'b': distance %.4f without mirror invariance, "
               "%.4f with it\n",
               without, with);

@@ -1,7 +1,6 @@
 #include "src/index/sharded_index.h"
 
 #include <algorithm>
-#include <cmath>
 #include <iterator>
 #include <limits>
 #include <queue>
@@ -352,11 +351,10 @@ StatusOr<ScanResult> ShardedIndex::SearchParallel(
     const std::shared_ptr<const ShardedSnapshot>& snap, const Series& query,
     obs::QueryMetrics* metrics) const {
   const std::vector<PartRange> parts = NonEmptyParts(*snap);
-  // Validation parity with the serial path: same engine, same messages.
-  QueryEngine probe(
-      std::make_unique<SnapshotView>(snap, 0, snap->live_total()),
-      options_.engine);
-  Status valid = probe.ValidateQuery(query);
+  // Validation parity with the serial path: the engine's own check over
+  // the same (size, length), hence the same messages.
+  Status valid =
+      QueryEngine::ValidateQuery(query, snap->live_total(), snap->length);
   if (!valid.ok()) return valid;
   if (parts.empty()) return ScanResult{};
 
@@ -407,14 +405,10 @@ StatusOr<ScanResult> ShardedIndex::SearchParallel(
 StatusOr<std::vector<Neighbor>> ShardedIndex::KnnParallel(
     const std::shared_ptr<const ShardedSnapshot>& snap, const Series& query,
     int k, StepCounter* counter, obs::QueryMetrics* metrics) const {
-  QueryEngine probe(
-      std::make_unique<SnapshotView>(snap, 0, snap->live_total()),
-      options_.engine);
-  Status valid = probe.ValidateQuery(query);
+  Status valid =
+      QueryEngine::ValidateQuery(query, snap->live_total(), snap->length);
+  if (valid.ok()) valid = QueryEngine::ValidateK(k);
   if (!valid.ok()) return valid;
-  if (k < 1) {
-    return Status::InvalidArgument("k must be >= 1, got " + std::to_string(k));
-  }
   const std::vector<PartRange> parts = NonEmptyParts(*snap);
   if (parts.empty()) return std::vector<Neighbor>{};
 
@@ -468,15 +462,10 @@ StatusOr<std::vector<Neighbor>> ShardedIndex::KnnParallel(
 StatusOr<std::vector<Neighbor>> ShardedIndex::RangeParallel(
     const std::shared_ptr<const ShardedSnapshot>& snap, const Series& query,
     double radius, StepCounter* counter, obs::QueryMetrics* metrics) const {
-  QueryEngine probe(
-      std::make_unique<SnapshotView>(snap, 0, snap->live_total()),
-      options_.engine);
-  Status valid = probe.ValidateQuery(query);
+  Status valid =
+      QueryEngine::ValidateQuery(query, snap->live_total(), snap->length);
+  if (valid.ok()) valid = QueryEngine::ValidateRadius(radius);
   if (!valid.ok()) return valid;
-  if (!std::isfinite(radius) || radius < 0.0) {
-    return Status::InvalidArgument("radius must be finite and >= 0, got " +
-                                   std::to_string(radius));
-  }
   const std::vector<PartRange> parts = NonEmptyParts(*snap);
   if (parts.empty()) return std::vector<Neighbor>{};
 

@@ -10,6 +10,7 @@
 #include <memory>
 #include <queue>
 #include <thread>
+#include <utility>
 
 #include "src/core/contracts.h"
 #include "src/core/sync.h"
@@ -74,49 +75,26 @@ class FilterStage {
   virtual obs::StageId stage_id() const = 0;
 };
 
-/// Rotation-invariant FFT-magnitude lower bound (paper Sections 4.2/5.3):
-/// charged n*log2(n) steps per use; sound for Euclidean only.
-class FftMagnitudeFilter final : public FilterStage {
- public:
-  FftMagnitudeFilter(const Series& query, StepCounter* counter)
-      : n_(query.size()),
-        signature_(MakeSpectralSignature(query, query.size() / 2)) {
-    AddSetupSteps(counter, FftStepCost(n_));
-  }
-
-  bool Prune(std::size_t /*index*/, const double* c, double threshold,
-             StepCounter* counter) const override {
-    AddSteps(counter, FftStepCost(n_));
-    if (counter != nullptr) ++counter->lower_bound_evals;
-    const SpectralSignature sig =
-        MakeSpectralSignature(Series(c, c + n_), n_ / 2);
-    return SignatureDistance(signature_, sig, nullptr) >= threshold;
-  }
-
-  obs::StageId stage_id() const override { return obs::StageId::kFftFilter; }
-
- private:
-  std::size_t n_;
-  SpectralSignature signature_;
-};
-
 /// Band-pooled rotation/mirror-invariant vector pre-filter (the VecSignature
 /// embedding): ||v(Q) - v(C)||_2 <= RED(Q, C), sound for Euclidean only.
 /// Two candidate paths with bit-identical distances: stored RIDX v2 rows
-/// (an O(dims) resident lookup) or an on-the-fly embedding (one FFT) —
-/// identical because the stored rows were produced by the same
-/// MakeVecSignature over the same candidate bytes.
+/// (an O(dims) resident lookup) or an on-the-fly embedding (one FFT,
+/// charged n*log2(n) steps as in paper Section 5.3) — identical because the
+/// stored rows were produced by the same MakeVecSignature over the same
+/// candidate bytes. At dims = n/2 every band holds one bin, and the
+/// distance equals the paper's FFT-magnitude bound bit-for-bit, so this
+/// class also serves StageKind::kFftMagnitude.
 class VecSignatureFilter final : public FilterStage {
  public:
   VecSignatureFilter(const Series& query, std::size_t dims,
-                     const double* stored_rows, std::size_t stored_dims,
+                     storage::SignatureRows stored, obs::StageId stage_id,
                      StepCounter* counter)
-      : n_(query.size()), rows_(stored_rows) {
+      : n_(query.size()), rows_(stored.rows), stage_id_(stage_id) {
     if (n_ < 2) return;  // no spectrum to pool; Prune never fires
     // The stored dimensionality is authoritative when rows exist — both
     // sides of the distance must live in the same pooled space.
     dims_ = rows_ != nullptr
-                ? stored_dims
+                ? stored.dims
                 : std::min(std::max<std::size_t>(dims, 1), n_ / 2);
     signature_ = MakeVecSignature(query, dims_);
     AddSetupSteps(counter, FftStepCost(n_));
@@ -146,13 +124,12 @@ class VecSignatureFilter final : public FilterStage {
     return d >= threshold;
   }
 
-  obs::StageId stage_id() const override {
-    return obs::StageId::kVecSignature;
-  }
+  obs::StageId stage_id() const override { return stage_id_; }
 
  private:
   std::size_t n_;
   const double* rows_ = nullptr;  ///< count x dims_ resident matrix or null.
+  obs::StageId stage_id_;
   std::size_t dims_ = 0;
   VecSignature signature_;
 };
@@ -518,13 +495,12 @@ class ScanTerminal final : public TerminalStage {
 /// sum exactly to the query's StepCounter.
 class QueryCascade {
  public:
-  /// `stored_vec_sigs`/`stored_vec_sig_dims` feed the kVecSignature filter
-  /// its resident RIDX v2 rows (nullptr/0 → embed candidates on the fly).
+  /// `stored_vec_sigs` feeds the kVecSignature filter its resident RIDX v2
+  /// rows (null → embed candidates on the fly).
   QueryCascade(const Series& query, const EngineOptions& options,
-               StepCounter* counter, obs::QueryMetrics* metrics = nullptr,
-               const CancelToken* cancel = nullptr,
-               const double* stored_vec_sigs = nullptr,
-               std::size_t stored_vec_sig_dims = 0)
+               StepCounter* counter, obs::QueryMetrics* metrics,
+               const CancelToken* cancel,
+               storage::SignatureRows stored_vec_sigs)
       : metrics_(metrics), cancel_(cancel) {
     for (StageKind kind : options.cascade.stages) {
       if (IsTerminal(kind)) {
@@ -561,17 +537,17 @@ class QueryCascade {
         break;  // normalization guarantees the terminal is last
       }
       switch (kind) {
-        case StageKind::kFftMagnitude: {
-          StageScope scope(StatsFor(obs::StageId::kFftFilter), counter);
-          filters_.push_back(
-              std::make_unique<FftMagnitudeFilter>(query, counter));
-          break;
-        }
+        case StageKind::kFftMagnitude:
         case StageKind::kVecSignature: {
-          StageScope scope(StatsFor(obs::StageId::kVecSignature), counter);
+          // The FFT-magnitude bound is the full-resolution embedding
+          // (dims = n/2). It never reads stored rows: those would charge
+          // dims steps per candidate instead of the paper's n*log2(n).
+          const bool fft = kind == StageKind::kFftMagnitude;
+          const obs::StageId id = StageIdFor(kind);
+          StageScope scope(StatsFor(id), counter);
           filters_.push_back(std::make_unique<VecSignatureFilter>(
-              query, options.vec_sig_dims, stored_vec_sigs,
-              stored_vec_sig_dims, counter));
+              query, fft ? query.size() / 2 : options.vec_sig_dims,
+              fft ? storage::SignatureRows{} : stored_vec_sigs, id, counter));
           break;
         }
         case StageKind::kLbImproved: {
@@ -916,6 +892,179 @@ class RangeCollector {
   std::vector<Neighbor> out_;
 };
 
+/// Per-call inputs and outcome of one scan, shared by every query kind.
+struct ScanCall {
+  std::size_t holdout = kNoHoldout;
+  obs::QueryMetrics* metrics = nullptr;
+  /// Polled at every cascade stage boundary (see QueryCascade::Compare).
+  const CancelToken* cancel = nullptr;
+  /// Cross-partition best-so-far exchange (see SharedBound); null
+  /// reproduces the single-engine behavior exactly.
+  SharedBound* shared = nullptr;
+  /// The token's typed Status when `cancel` fired mid-scan; the collector's
+  /// partial result must then be discarded.
+  Status interrupted = Status::Ok();
+  /// Set if any candidate fetch of THIS query returned an invalid handle —
+  /// a per-query signal, unlike the backend's shared error latch, so
+  /// concurrent queries on one backend cannot mask each other's skipped
+  /// candidates.
+  bool fetch_failed = false;
+};
+
+/// The RIDX v2 rows the kVecSignature filter may compare directly: the
+/// backend's stored rows when their dimensionality fits the query's pooled
+/// space (dims <= n/2, or the two embedding sides would be incomparable),
+/// else none — the filter then embeds candidates on the fly, with
+/// bit-identical distances.
+storage::SignatureRows StoredVecSigsFor(const storage::StorageBackend& backend,
+                                        std::size_t query_length) {
+  const storage::SignatureRows stored = backend.stored_signatures();
+  if (stored.rows == nullptr || query_length < 2 ||
+      stored.dims > query_length / 2) {
+    return {};
+  }
+  return stored;
+}
+
+/// The one driver behind every query kind and entry point: compiles the
+/// per-query cascade, scans the backend's resident tiles with the blocked
+/// driver when both the backend and the cascade allow it (per-candidate
+/// fetches otherwise), and folds the query's fetch I/O into the metrics.
+/// The collector decides what kind of query this is.
+template <typename Collector>
+void RunQuery(const storage::StorageBackend& backend,
+              const EngineOptions& options, const Series& query,
+              Collector& collector, StepCounter* counter, ScanCall& call) {
+  const QueryLatencyScope latency(call.metrics);
+  QueryCascade cascade(query, options, counter, call.metrics, call.cancel,
+                       StoredVecSigsFor(backend, query.size()));
+  // Only fetches that do attributable I/O (simulated or file backend) get
+  // the kDiskFetch stage, so purely in-memory runs keep their metrics
+  // shape.
+  const bool does_io =
+      backend.backend_kind() != storage::BackendKind::kInMemory;
+  storage::FetchStats fetch_io;
+  obs::StageStats* fetch_stats =
+      call.metrics != nullptr && does_io
+          ? &call.metrics->stage(obs::StageId::kDiskFetch)
+          : nullptr;
+  const FlatDataset* tiles = backend.resident_tiles();
+  const auto drive = [&](auto& c) {
+    if (tiles != nullptr && tiles->length() == query.size() &&
+        cascade.SupportsBlocked(options.simd)) {
+      RunBlockedScan(*tiles, call.holdout, cascade, c, counter);
+      return;
+    }
+    RunScan(
+        backend.size(),
+        [&](std::size_t i) {
+          const StageScope scope(fetch_stats, counter);
+          storage::SeriesHandle h = backend.Fetch(i, &fetch_io);
+          if (!h.valid()) call.fetch_failed = true;
+          return h;
+        },
+        call.holdout, cascade, c, counter);
+  };
+  if (call.shared != nullptr) {
+    SharedBoundCollector<Collector> wrapped(collector, call.shared);
+    drive(wrapped);
+  } else {
+    drive(collector);
+  }
+  if (does_io) FoldFetchIo(fetch_io, fetch_stats, call.metrics);
+  if (cascade.cancelled()) call.interrupted = cascade.cancel_status();
+}
+
+ScanResult BestScan(const storage::StorageBackend& backend,
+                    const EngineOptions& options, const Series& query,
+                    ScanCall& call) {
+  ScanResult result;
+  result.best_distance = kInf;
+  BestCollector collector(&result);
+  RunQuery(backend, options, query, collector, &result.counter, call);
+  return result;
+}
+
+std::vector<Neighbor> KnnScan(const storage::StorageBackend& backend,
+                              const EngineOptions& options,
+                              const Series& query, int k,
+                              StepCounter* counter, ScanCall& call) {
+  StepCounter local;
+  KnnCollector collector(k);
+  RunQuery(backend, options, query, collector,
+           counter != nullptr ? counter : &local, call);
+  return collector.Take();
+}
+
+std::vector<Neighbor> RangeScan(const storage::StorageBackend& backend,
+                                const EngineOptions& options,
+                                const Series& query, double radius,
+                                StepCounter* counter, ScanCall& call) {
+  StepCounter local;
+  RangeCollector collector(radius);
+  RunQuery(backend, options, query, collector,
+           counter != nullptr ? counter : &local, call);
+  return collector.Take();
+}
+
+/// The Checked entry points' shared envelope: argument validation, the
+/// fired-token short cut, the scan, and one status step after it. `args`
+/// is the kind-specific argument check (k, radius), reported after the
+/// query's own.
+template <typename Scan>
+auto RunChecked(const QueryEngine& engine, const Series& query, Status args,
+                const CancelToken* cancel, obs::QueryMetrics* metrics,
+                const Scan& scan)
+    -> StatusOr<decltype(scan(std::declval<ScanCall&>()))> {
+  Status valid = engine.ValidateQuery(query);
+  if (!valid.ok()) return valid;
+  if (!args.ok()) return args;
+  if (cancel != nullptr) {
+    // An already-fired token must not pay for cascade setup (the wedge
+    // tree build is real work).
+    Status early = cancel->Check();
+    if (!early.ok()) return early;
+  }
+  ScanCall call{.metrics = metrics, .cancel = cancel};
+  auto result = scan(call);
+  if (!call.interrupted.ok()) return call.interrupted;
+  // A storage failure mid-scan silently skips candidates in the unchecked
+  // path; here it must invalidate the result. The per-query flag is
+  // authoritative (the shared latch can be cleared by a concurrent
+  // query's error handling); the latch is kept as a fallback detail.
+  Status io = engine.backend()->error();
+  if (call.fetch_failed && io.ok()) {
+    io = Status::IoError("candidate fetch failed during scan");
+  }
+  if (!io.ok()) return io;
+  return result;
+}
+
+/// The batch entry points' shared body: runs `one(query, counter,
+/// metrics)` per query over a worker pool, then folds per-query counters
+/// and metrics in QUERY order, so the merged aggregates are independent of
+/// which worker ran which query.
+template <typename Result, typename One>
+std::vector<Result> RunBatch(const std::vector<Series>& queries,
+                             int num_threads, StepCounter* merged,
+                             obs::QueryMetrics* metrics, const One& one) {
+  std::vector<Result> results(queries.size());
+  std::vector<StepCounter> counters(queries.size());
+  std::vector<obs::QueryMetrics> query_metrics(
+      metrics != nullptr ? queries.size() : 0);
+  ParallelFor(queries.size(), num_threads, [&](std::size_t qi) {
+    results[qi] = one(queries[qi], &counters[qi],
+                      metrics != nullptr ? &query_metrics[qi] : nullptr);
+  });
+  if (merged != nullptr) {
+    for (const StepCounter& c : counters) *merged += c;
+  }
+  if (metrics != nullptr) {
+    for (const obs::QueryMetrics& m : query_metrics) *metrics += m;
+  }
+  return results;
+}
+
 }  // namespace
 
 CascadeSpec CascadeSpec::ForAlgorithm(ScanAlgorithm algorithm,
@@ -1059,12 +1208,6 @@ QueryEngine::QueryEngine(const FlatDataset& db, const EngineOptions& options)
                          : std::make_unique<storage::InMemoryBackend>(db);
 }
 
-QueryEngine::QueryEngine(const std::vector<Series>& db,
-                         const EngineOptions& options)
-    : vec_(&db), options_(options) {
-  options_.cascade = options.cascade.Normalized(options.kind);
-}
-
 QueryEngine::QueryEngine(std::unique_ptr<storage::StorageBackend> backend,
                          const EngineOptions& options)
     : backend_(std::move(backend)), options_(options) {
@@ -1081,60 +1224,6 @@ StatusOr<std::unique_ptr<QueryEngine>> QueryEngine::Open(
   return std::make_unique<QueryEngine>(*std::move(backend), options);
 }
 
-std::size_t QueryEngine::database_size() const {
-  return vec_ != nullptr ? vec_->size() : backend_->size();
-}
-
-std::size_t QueryEngine::database_length() const {
-  if (vec_ != nullptr) return vec_->empty() ? 0 : (*vec_)[0].size();
-  return backend_->length();
-}
-
-const FlatDataset* QueryEngine::BlockedSource() const {
-  if (vec_ != nullptr) return nullptr;
-  // Only the plain in-memory borrow qualifies: its fetches charge nothing,
-  // so reading tiles directly is observationally identical. A
-  // dynamic_cast, not a kind check — FaultInjectingBackend forwards the
-  // inner backend_kind() while its fetches inject faults, and those must
-  // keep flowing through FetchCandidate.
-  const auto* mem =
-      dynamic_cast<const storage::InMemoryBackend*>(backend_.get());
-  return mem != nullptr ? mem->flat() : nullptr;
-}
-
-storage::SeriesHandle QueryEngine::FetchCandidate(
-    std::size_t i, storage::FetchStats* io) const {
-  if (vec_ != nullptr) {
-    return storage::SeriesHandle::Borrowed((*vec_)[i].data(),
-                                           (*vec_)[i].size());
-  }
-  return backend_->Fetch(i, io);
-}
-
-bool QueryEngine::BackendDoesIo() const {
-  return backend_ != nullptr &&
-         backend_->backend_kind() != storage::BackendKind::kInMemory;
-}
-
-void QueryEngine::ResolveStoredVecSigs(std::size_t query_length,
-                                       const double** rows,
-                                       std::size_t* dims) const {
-  *rows = nullptr;
-  *dims = 0;
-  // dynamic_cast, not a kind check: FaultInjectingBackend forwards the
-  // inner backend_kind() but its fetches inject faults; its candidates
-  // must be embedded from the fetched bytes, not trusted resident rows.
-  const auto* fb = dynamic_cast<const storage::FileBackend*>(backend_.get());
-  if (fb == nullptr) return;
-  const storage::IndexFile& file = fb->file();
-  if (file.ri_dims() == 0) return;
-  // The stored dimensionality must fit the query's pooled space
-  // (dims <= n/2) or the two embedding sides would be incomparable.
-  if (query_length < 2 || file.ri_dims() > query_length / 2) return;
-  *rows = file.ri_signatures().data();
-  *dims = file.ri_dims();
-}
-
 ScanResult QueryEngine::Search(const Series& query,
                                obs::QueryMetrics* metrics) const {
   return SearchLeaveOneOut(query, kNoHoldout, metrics);
@@ -1143,66 +1232,16 @@ ScanResult QueryEngine::Search(const Series& query,
 ScanResult QueryEngine::SearchLeaveOneOut(const Series& query,
                                           std::size_t holdout,
                                           obs::QueryMetrics* metrics) const {
-  return SearchImpl(query, holdout, metrics, nullptr, nullptr, nullptr,
-                    nullptr);
+  ScanCall call{.holdout = holdout, .metrics = metrics};
+  return BestScan(*backend_, options_, query, call);
 }
 
 ScanResult QueryEngine::SearchShared(const Series& query, std::size_t holdout,
                                      SharedBound* shared,
                                      obs::QueryMetrics* metrics) const {
   ROTIND_CONTRACT(shared != nullptr, "SearchShared needs a SharedBound");
-  return SearchImpl(query, holdout, metrics, nullptr, nullptr, nullptr,
-                    shared);
-}
-
-ScanResult QueryEngine::SearchImpl(const Series& query, std::size_t holdout,
-                                   obs::QueryMetrics* metrics,
-                                   const CancelToken* cancel,
-                                   Status* interrupted,
-                                   bool* fetch_failed,
-                                   SharedBound* shared) const {
-  ScanResult result;
-  result.best_distance = kInf;
-  const QueryLatencyScope latency(metrics);
-  const double* vec_sig_rows = nullptr;
-  std::size_t vec_sig_dims = 0;
-  ResolveStoredVecSigs(query.size(), &vec_sig_rows, &vec_sig_dims);
-  QueryCascade cascade(query, options_, &result.counter, metrics, cancel,
-                       vec_sig_rows, vec_sig_dims);
-  BestCollector inner(&result);
-  storage::FetchStats fetch_io;
-  obs::StageStats* fetch_stats =
-      metrics != nullptr && BackendDoesIo()
-          ? &metrics->stage(obs::StageId::kDiskFetch)
-          : nullptr;
-  const FlatDataset* blocked = BlockedSource();
-  const auto drive = [&](auto& collector) {
-    if (blocked != nullptr && blocked->length() == query.size() &&
-        cascade.SupportsBlocked(options_.simd)) {
-      RunBlockedScan(*blocked, holdout, cascade, collector, &result.counter);
-    } else {
-      RunScan(
-          database_size(),
-          [&](std::size_t i) {
-            const StageScope scope(fetch_stats, &result.counter);
-            storage::SeriesHandle h = FetchCandidate(i, &fetch_io);
-            if (!h.valid() && fetch_failed != nullptr) *fetch_failed = true;
-            return h;
-          },
-          holdout, cascade, collector, &result.counter);
-    }
-  };
-  if (shared != nullptr) {
-    SharedBoundCollector<BestCollector> wrapped(inner, shared);
-    drive(wrapped);
-  } else {
-    drive(inner);
-  }
-  if (BackendDoesIo()) FoldFetchIo(fetch_io, fetch_stats, metrics);
-  if (interrupted != nullptr && cascade.cancelled()) {
-    *interrupted = cascade.cancel_status();
-  }
-  return result;
+  ScanCall call{.holdout = holdout, .metrics = metrics, .shared = shared};
+  return BestScan(*backend_, options_, query, call);
 }
 
 std::vector<Neighbor> QueryEngine::Knn(const Series& query, int k,
@@ -1214,121 +1253,31 @@ std::vector<Neighbor> QueryEngine::Knn(const Series& query, int k,
 std::vector<Neighbor> QueryEngine::KnnLeaveOneOut(
     const Series& query, int k, std::size_t holdout, StepCounter* counter,
     obs::QueryMetrics* metrics) const {
-  return KnnImpl(query, k, holdout, counter, metrics, nullptr, nullptr,
-                 nullptr, nullptr);
+  ScanCall call{.holdout = holdout, .metrics = metrics};
+  return KnnScan(*backend_, options_, query, k, counter, call);
 }
 
 std::vector<Neighbor> QueryEngine::KnnShared(
     const Series& query, int k, std::size_t holdout, SharedBound* shared,
     StepCounter* counter, obs::QueryMetrics* metrics) const {
   ROTIND_CONTRACT(shared != nullptr, "KnnShared needs a SharedBound");
-  return KnnImpl(query, k, holdout, counter, metrics, nullptr, nullptr,
-                 nullptr, shared);
-}
-
-std::vector<Neighbor> QueryEngine::KnnImpl(const Series& query, int k,
-                                           std::size_t holdout,
-                                           StepCounter* counter,
-                                           obs::QueryMetrics* metrics,
-                                           const CancelToken* cancel,
-                                           Status* interrupted,
-                                           bool* fetch_failed,
-                                           SharedBound* shared) const {
-  StepCounter local;
-  StepCounter* cnt = counter != nullptr ? counter : &local;
-  const QueryLatencyScope latency(metrics);
-  const double* vec_sig_rows = nullptr;
-  std::size_t vec_sig_dims = 0;
-  ResolveStoredVecSigs(query.size(), &vec_sig_rows, &vec_sig_dims);
-  QueryCascade cascade(query, options_, cnt, metrics, cancel, vec_sig_rows,
-                       vec_sig_dims);
-  KnnCollector inner(k);
-  storage::FetchStats fetch_io;
-  obs::StageStats* fetch_stats =
-      metrics != nullptr && BackendDoesIo()
-          ? &metrics->stage(obs::StageId::kDiskFetch)
-          : nullptr;
-  const FlatDataset* blocked = BlockedSource();
-  const auto drive = [&](auto& collector) {
-    if (blocked != nullptr && blocked->length() == query.size() &&
-        cascade.SupportsBlocked(options_.simd)) {
-      RunBlockedScan(*blocked, holdout, cascade, collector, cnt);
-    } else {
-      RunScan(
-          database_size(),
-          [&](std::size_t i) {
-            const StageScope scope(fetch_stats, cnt);
-            storage::SeriesHandle h = FetchCandidate(i, &fetch_io);
-            if (!h.valid() && fetch_failed != nullptr) *fetch_failed = true;
-            return h;
-          },
-          holdout, cascade, collector, cnt);
-    }
-  };
-  if (shared != nullptr) {
-    SharedBoundCollector<KnnCollector> wrapped(inner, shared);
-    drive(wrapped);
-  } else {
-    drive(inner);
-  }
-  if (BackendDoesIo()) FoldFetchIo(fetch_io, fetch_stats, metrics);
-  if (interrupted != nullptr && cascade.cancelled()) {
-    *interrupted = cascade.cancel_status();
-  }
-  return inner.Take();
+  ScanCall call{.holdout = holdout, .metrics = metrics, .shared = shared};
+  return KnnScan(*backend_, options_, query, k, counter, call);
 }
 
 std::vector<Neighbor> QueryEngine::Range(const Series& query, double radius,
                                          StepCounter* counter,
                                          obs::QueryMetrics* metrics) const {
-  return RangeImpl(query, radius, counter, metrics, nullptr, nullptr,
-                   nullptr);
-}
-
-std::vector<Neighbor> QueryEngine::RangeImpl(const Series& query,
-                                             double radius,
-                                             StepCounter* counter,
-                                             obs::QueryMetrics* metrics,
-                                             const CancelToken* cancel,
-                                             Status* interrupted,
-                                             bool* fetch_failed) const {
-  StepCounter local;
-  StepCounter* cnt = counter != nullptr ? counter : &local;
-  const QueryLatencyScope latency(metrics);
-  const double* vec_sig_rows = nullptr;
-  std::size_t vec_sig_dims = 0;
-  ResolveStoredVecSigs(query.size(), &vec_sig_rows, &vec_sig_dims);
-  QueryCascade cascade(query, options_, cnt, metrics, cancel, vec_sig_rows,
-                       vec_sig_dims);
-  RangeCollector collector(radius);
-  storage::FetchStats fetch_io;
-  obs::StageStats* fetch_stats =
-      metrics != nullptr && BackendDoesIo()
-          ? &metrics->stage(obs::StageId::kDiskFetch)
-          : nullptr;
-  const FlatDataset* blocked = BlockedSource();
-  if (blocked != nullptr && blocked->length() == query.size() &&
-      cascade.SupportsBlocked(options_.simd)) {
-    RunBlockedScan(*blocked, kNoHoldout, cascade, collector, cnt);
-  } else {
-    RunScan(
-        database_size(),
-        [&](std::size_t i) {
-          const StageScope scope(fetch_stats, cnt);
-          storage::SeriesHandle h = FetchCandidate(i, &fetch_io);
-          if (!h.valid() && fetch_failed != nullptr) *fetch_failed = true;
-          return h;
-        },
-        kNoHoldout, cascade, collector, cnt);
-  }
-  if (BackendDoesIo()) FoldFetchIo(fetch_io, fetch_stats, metrics);
-  if (interrupted != nullptr && cascade.cancelled()) {
-    *interrupted = cascade.cancel_status();
-  }
-  return collector.Take();
+  ScanCall call{.metrics = metrics};
+  return RangeScan(*backend_, options_, query, radius, counter, call);
 }
 
 Status QueryEngine::ValidateQuery(const Series& query) const {
+  return ValidateQuery(query, database_size(), database_length());
+}
+
+Status QueryEngine::ValidateQuery(const Series& query, std::size_t db_size,
+                                  std::size_t db_length) {
   if (query.empty()) {
     return Status::InvalidArgument("query is empty");
   }
@@ -1338,20 +1287,25 @@ Status QueryEngine::ValidateQuery(const Series& query) const {
                                      " is NaN or Inf");
     }
   }
-  if (vec_ != nullptr) {
-    // Legacy storage may be ragged; name the offending item.
-    for (std::size_t i = 0; i < vec_->size(); ++i) {
-      if ((*vec_)[i].size() != query.size()) {
-        return Status::InvalidArgument(
-            "db item " + std::to_string(i) + " has length " +
-            std::to_string((*vec_)[i].size()) + ", query has length " +
-            std::to_string(query.size()));
-      }
-    }
-  } else if (database_size() > 0 && database_length() != query.size()) {
+  if (db_size > 0 && db_length != query.size()) {
     return Status::InvalidArgument(
         "query has length " + std::to_string(query.size()) +
-        ", database items have length " + std::to_string(database_length()));
+        ", database items have length " + std::to_string(db_length));
+  }
+  return Status::Ok();
+}
+
+Status QueryEngine::ValidateK(int k) {
+  if (k < 1) {
+    return Status::InvalidArgument("k must be >= 1, got " + std::to_string(k));
+  }
+  return Status::Ok();
+}
+
+Status QueryEngine::ValidateRadius(double radius) {
+  if (!std::isfinite(radius) || radius < 0.0) {
+    return Status::InvalidArgument("radius must be finite and >= 0, got " +
+                                   std::to_string(radius));
   }
   return Status::Ok();
 }
@@ -1359,155 +1313,62 @@ Status QueryEngine::ValidateQuery(const Series& query) const {
 StatusOr<ScanResult> QueryEngine::SearchChecked(
     const Series& query, const CancelToken* cancel,
     obs::QueryMetrics* metrics) const {
-  Status valid = ValidateQuery(query);
-  if (!valid.ok()) return valid;
-  if (cancel != nullptr) {
-    // An already-fired token must not pay for cascade setup (the wedge
-    // tree build is real work).
-    Status early = cancel->Check();
-    if (!early.ok()) return early;
-  }
-  Status interrupted;
-  bool fetch_failed = false;
-  ScanResult result = SearchImpl(query, kNoHoldout, metrics, cancel,
-                                 &interrupted, &fetch_failed, nullptr);
-  if (!interrupted.ok()) return interrupted;
-  // A storage failure mid-scan silently skips candidates in the unchecked
-  // path; here it must invalidate the result. The per-query flag is
-  // authoritative (the shared latch can be cleared by a concurrent
-  // query's error handling); the latch is kept as a fallback detail.
-  if (fetch_failed) {
-    Status io = backend_ != nullptr ? backend_->error() : Status::Ok();
-    if (io.ok()) io = Status::IoError("candidate fetch failed during scan");
-    return io;
-  }
-  if (backend_ != nullptr) {
-    Status io = backend_->error();
-    if (!io.ok()) return io;
-  }
-  return result;
+  return RunChecked(*this, query, Status::Ok(), cancel, metrics,
+                    [&](ScanCall& call) {
+                      return BestScan(*backend_, options_, query, call);
+                    });
 }
 
 StatusOr<std::vector<Neighbor>> QueryEngine::KnnChecked(
     const Series& query, int k, StepCounter* counter,
     const CancelToken* cancel, obs::QueryMetrics* metrics) const {
-  Status valid = ValidateQuery(query);
-  if (!valid.ok()) return valid;
-  if (k < 1) {
-    return Status::InvalidArgument("k must be >= 1, got " + std::to_string(k));
-  }
-  if (cancel != nullptr) {
-    Status early = cancel->Check();
-    if (!early.ok()) return early;
-  }
-  Status interrupted;
-  bool fetch_failed = false;
-  std::vector<Neighbor> result = KnnImpl(query, k, kNoHoldout, counter,
-                                         metrics, cancel, &interrupted,
-                                         &fetch_failed, nullptr);
-  if (!interrupted.ok()) return interrupted;
-  if (fetch_failed) {
-    Status io = backend_ != nullptr ? backend_->error() : Status::Ok();
-    if (io.ok()) io = Status::IoError("candidate fetch failed during scan");
-    return io;
-  }
-  if (backend_ != nullptr) {
-    Status io = backend_->error();
-    if (!io.ok()) return io;
-  }
-  return result;
+  return RunChecked(*this, query, ValidateK(k), cancel, metrics,
+                    [&](ScanCall& call) {
+                      return KnnScan(*backend_, options_, query, k, counter,
+                                     call);
+                    });
 }
 
 StatusOr<std::vector<Neighbor>> QueryEngine::RangeChecked(
     const Series& query, double radius, StepCounter* counter,
     const CancelToken* cancel, obs::QueryMetrics* metrics) const {
-  Status valid = ValidateQuery(query);
-  if (!valid.ok()) return valid;
-  if (!std::isfinite(radius) || radius < 0.0) {
-    return Status::InvalidArgument("radius must be finite and >= 0, got " +
-                                   std::to_string(radius));
-  }
-  if (cancel != nullptr) {
-    Status early = cancel->Check();
-    if (!early.ok()) return early;
-  }
-  Status interrupted;
-  bool fetch_failed = false;
-  std::vector<Neighbor> result =
-      RangeImpl(query, radius, counter, metrics, cancel, &interrupted,
-                &fetch_failed);
-  if (!interrupted.ok()) return interrupted;
-  if (fetch_failed) {
-    Status io = backend_ != nullptr ? backend_->error() : Status::Ok();
-    if (io.ok()) io = Status::IoError("candidate fetch failed during scan");
-    return io;
-  }
-  if (backend_ != nullptr) {
-    Status io = backend_->error();
-    if (!io.ok()) return io;
-  }
-  return result;
+  return RunChecked(*this, query, ValidateRadius(radius), cancel, metrics,
+                    [&](ScanCall& call) {
+                      return RangeScan(*backend_, options_, query, radius,
+                                       counter, call);
+                    });
 }
 
 std::vector<ScanResult> QueryEngine::SearchBatch(
     const std::vector<Series>& queries, int num_threads, StepCounter* merged,
     obs::QueryMetrics* metrics) const {
-  std::vector<ScanResult> results(queries.size());
-  // Thread-local per-query metrics, folded back in query order below: the
-  // merged aggregate is independent of which worker ran which query.
-  std::vector<obs::QueryMetrics> query_metrics(
-      metrics != nullptr ? queries.size() : 0);
-  ParallelFor(queries.size(), num_threads, [&](std::size_t qi) {
-    results[qi] = Search(queries[qi],
-                         metrics != nullptr ? &query_metrics[qi] : nullptr);
-  });
-  if (merged != nullptr) {
-    for (const ScanResult& r : results) *merged += r.counter;
-  }
-  if (metrics != nullptr) {
-    for (const obs::QueryMetrics& m : query_metrics) *metrics += m;
-  }
-  return results;
+  return RunBatch<ScanResult>(
+      queries, num_threads, merged, metrics,
+      [&](const Series& q, StepCounter* counter, obs::QueryMetrics* m) {
+        ScanResult r = Search(q, m);
+        *counter = r.counter;
+        return r;
+      });
 }
 
 std::vector<std::vector<Neighbor>> QueryEngine::KnnSearchBatch(
     const std::vector<Series>& queries, int k, int num_threads,
     StepCounter* merged, obs::QueryMetrics* metrics) const {
-  std::vector<std::vector<Neighbor>> results(queries.size());
-  std::vector<StepCounter> counters(queries.size());
-  std::vector<obs::QueryMetrics> query_metrics(
-      metrics != nullptr ? queries.size() : 0);
-  ParallelFor(queries.size(), num_threads, [&](std::size_t qi) {
-    results[qi] = Knn(queries[qi], k, &counters[qi],
-                      metrics != nullptr ? &query_metrics[qi] : nullptr);
-  });
-  if (merged != nullptr) {
-    for (const StepCounter& c : counters) *merged += c;
-  }
-  if (metrics != nullptr) {
-    for (const obs::QueryMetrics& m : query_metrics) *metrics += m;
-  }
-  return results;
+  return RunBatch<std::vector<Neighbor>>(
+      queries, num_threads, merged, metrics,
+      [&](const Series& q, StepCounter* counter, obs::QueryMetrics* m) {
+        return Knn(q, k, counter, m);
+      });
 }
 
 std::vector<std::vector<Neighbor>> QueryEngine::RangeSearchBatch(
     const std::vector<Series>& queries, double radius, int num_threads,
     StepCounter* merged, obs::QueryMetrics* metrics) const {
-  std::vector<std::vector<Neighbor>> results(queries.size());
-  std::vector<StepCounter> counters(queries.size());
-  std::vector<obs::QueryMetrics> query_metrics(
-      metrics != nullptr ? queries.size() : 0);
-  ParallelFor(queries.size(), num_threads, [&](std::size_t qi) {
-    results[qi] = Range(queries[qi], radius, &counters[qi],
-                        metrics != nullptr ? &query_metrics[qi] : nullptr);
-  });
-  if (merged != nullptr) {
-    for (const StepCounter& c : counters) *merged += c;
-  }
-  if (metrics != nullptr) {
-    for (const obs::QueryMetrics& m : query_metrics) *metrics += m;
-  }
-  return results;
+  return RunBatch<std::vector<Neighbor>>(
+      queries, num_threads, merged, metrics,
+      [&](const Series& q, StepCounter* counter, obs::QueryMetrics* m) {
+        return Range(q, radius, counter, m);
+      });
 }
 
 }  // namespace rotind

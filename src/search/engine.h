@@ -32,7 +32,10 @@ namespace rotind {
 /// brute force — only the work differs.
 enum class StageKind {
   /// Filter: rotation-invariant FFT-magnitude lower bound (paper Section
-  /// 4.2). Sound for kEuclidean only; dropped for other measures.
+  /// 4.2), charged n*log2(n) steps per candidate (Section 5.3). Runs as the
+  /// kVecSignature filter at full resolution (dims = n/2, one band per
+  /// bin), where the two bounds are equal; never reads stored rows. Sound
+  /// for kEuclidean only; dropped for other measures.
   kFftMagnitude,
   /// Filter: band-pooled rotation/mirror-invariant vector embedding
   /// (fourier::VecSignature) — cheaper per candidate than the FFT filter
@@ -115,13 +118,12 @@ struct EngineOptions {
   /// Where candidate series live: in-memory borrow (default), the paper's
   /// simulated-disk accounting, or a paged RIDX index file behind a
   /// BufferPool (file selection requires QueryEngine::Open — the borrowing
-  /// constructors cannot report an open failure).
+  /// constructor cannot report an open failure).
   storage::StorageOptions storage;
 };
 
 /// Maps a legacy (algorithm, options) pair onto the engine configuration
-/// that reproduces it exactly. Used by the scan.h adapters, benches, and
-/// the CLI during migration.
+/// that reproduces it exactly. Used by the benches, tests, and the CLI.
 EngineOptions EngineOptionsFrom(const ScanOptions& options,
                                 ScanAlgorithm algorithm);
 
@@ -202,12 +204,11 @@ class SharedBound {
 /// Candidate series are fetched through a storage::StorageBackend: a
 /// zero-copy in-memory borrow by default, the paper's simulated-disk
 /// accounting, or a real paged index file behind a BufferPool — selected by
-/// EngineOptions::storage. The borrowed source (FlatDataset or legacy
-/// vector<Series>) must outlive the engine. All search methods are const
-/// and thread-compatible: concurrent calls on one engine are safe because
-/// per-query state (rotation sets, wedge trees, signatures) is built per
-/// call and the backends are internally synchronized — this is what
-/// SearchBatch relies on.
+/// EngineOptions::storage. A borrowed FlatDataset must outlive the engine.
+/// All search methods are const and thread-compatible: concurrent calls on
+/// one engine are safe because per-query state (rotation sets, wedge trees,
+/// signatures) is built per call and the backends are internally
+/// synchronized — this is what SearchBatch relies on.
 class QueryEngine {
  public:
   /// Engine over contiguous storage (the fast path). Honors
@@ -215,13 +216,6 @@ class QueryEngine {
   /// the file backend here is a contract violation (open can fail) — use
   /// Open().
   explicit QueryEngine(const FlatDataset& db,
-                       const EngineOptions& options = {});
-
-  /// Non-owning adapter over legacy storage; no copy is made. Prefer
-  /// FlatDataset for cache-friendly scans. Always direct borrows
-  /// (options.storage is ignored — ragged legacy storage predates the
-  /// backend abstraction).
-  explicit QueryEngine(const std::vector<Series>& db,
                        const EngineOptions& options = {});
 
   /// Engine owning an explicit backend (the composition root for tests and
@@ -240,16 +234,13 @@ class QueryEngine {
 
   /// Borrowing a temporary database would dangle immediately; forbidden.
   explicit QueryEngine(FlatDataset&&, const EngineOptions& = {}) = delete;
-  explicit QueryEngine(std::vector<Series>&&, const EngineOptions& = {}) =
-      delete;
 
   const EngineOptions& options() const { return options_; }
-  /// The storage candidates are fetched from (null only for the legacy
-  /// vector<Series> adapter).
+  /// The storage candidates are fetched from (never null).
   const storage::StorageBackend* backend() const { return backend_.get(); }
-  std::size_t database_size() const;
+  std::size_t database_size() const { return backend_->size(); }
   /// Common series length of the database (0 when empty).
-  std::size_t database_length() const;
+  std::size_t database_length() const { return backend_->length(); }
 
   /// 1-NN: the rotation-invariant nearest neighbor of `query`.
   ScanResult Search(const Series& query,
@@ -301,6 +292,17 @@ class QueryEngine {
   /// Validates a query against this engine's database: non-empty, finite,
   /// and length-matching.
   [[nodiscard]] Status ValidateQuery(const Series& query) const;
+  /// The same check against any database of `db_size` series of common
+  /// length `db_length` (an empty database accepts every length), for
+  /// callers that validate once for several engines (ShardedIndex's
+  /// parallel paths) and must report the engine's exact messages.
+  [[nodiscard]] static Status ValidateQuery(const Series& query,
+                                            std::size_t db_size,
+                                            std::size_t db_length);
+  /// The argument checks KnnChecked (k >= 1) and RangeChecked (finite
+  /// radius >= 0) apply after ValidateQuery.
+  [[nodiscard]] static Status ValidateK(int k);
+  [[nodiscard]] static Status ValidateRadius(double radius);
 
   /// Checked variants: the validated public entry points. `cancel`, when
   /// non-null, is polled cooperatively at every cascade stage boundary
@@ -346,60 +348,6 @@ class QueryEngine {
       obs::QueryMetrics* metrics = nullptr) const;
 
  private:
-  /// Scan cores shared by the unchecked entry points (cancel == nullptr)
-  /// and the Checked ones. When `cancel` fires mid-scan its typed Status
-  /// lands in `*interrupted` and the (partial, meaningless) value result
-  /// must be discarded by the caller. `fetch_failed`, when non-null, is
-  /// set if any candidate fetch of THIS query returned an invalid handle
-  /// — a per-query signal, unlike the backend's shared error latch, so
-  /// concurrent queries on one backend cannot mask each other's skipped
-  /// candidates.
-  /// `shared`, when non-null, wires the collector into a cross-partition
-  /// best-so-far exchange (see SharedBound); null reproduces the
-  /// single-engine behavior exactly.
-  ScanResult SearchImpl(const Series& query, std::size_t holdout,
-                        obs::QueryMetrics* metrics, const CancelToken* cancel,
-                        Status* interrupted, bool* fetch_failed,
-                        SharedBound* shared) const;
-  std::vector<Neighbor> KnnImpl(const Series& query, int k,
-                                std::size_t holdout, StepCounter* counter,
-                                obs::QueryMetrics* metrics,
-                                const CancelToken* cancel,
-                                Status* interrupted,
-                                bool* fetch_failed,
-                                SharedBound* shared) const;
-  std::vector<Neighbor> RangeImpl(const Series& query, double radius,
-                                  StepCounter* counter,
-                                  obs::QueryMetrics* metrics,
-                                  const CancelToken* cancel,
-                                  Status* interrupted,
-                                  bool* fetch_failed) const;
-
-  /// The FlatDataset whose SoA tiles the blocked drivers may scan
-  /// directly, or nullptr when candidates must go through per-candidate
-  /// fetches (legacy vector storage, simulated/file/fault-injecting
-  /// backends — anything whose Fetch does accountable work).
-  const FlatDataset* BlockedSource() const;
-
-  /// One candidate fetch: a borrow for legacy vector storage, a backend
-  /// fetch (with I/O accounting into `io`) otherwise.
-  storage::SeriesHandle FetchCandidate(std::size_t i,
-                                       storage::FetchStats* io) const;
-  /// True when fetches do attributable I/O (simulated or file backend) —
-  /// gates the kDiskFetch stage so purely in-memory runs keep their
-  /// metrics shape.
-  bool BackendDoesIo() const;
-
-  /// Resolves the RIDX v2 rotation-invariant signature rows for the
-  /// kVecSignature filter: points `*rows` at the file backend's resident
-  /// count x *dims matrix when one exists (and its dimensionality fits the
-  /// query length), else nullptr/0 — the filter then embeds candidates on
-  /// the fly, which returns bit-identical distances since the stored rows
-  /// were produced by the same MakeVecSignature over the same bytes.
-  void ResolveStoredVecSigs(std::size_t query_length, const double** rows,
-                            std::size_t* dims) const;
-
-  const std::vector<Series>* vec_ = nullptr;
   std::unique_ptr<storage::StorageBackend> backend_;
   EngineOptions options_;
 };

@@ -1,70 +1,8 @@
 #include "src/search/scan.h"
 
-#include <cmath>
-
 #include "src/distance/dtw.h"
-#include "src/search/engine.h"
 
 namespace rotind {
-
-// The legacy scan API is a set of thin adapters: each ScanAlgorithm maps to
-// its pruning-cascade composition (CascadeSpec::ForAlgorithm) and runs
-// through QueryEngine's generic driver. The three formerly-duplicated
-// 1-NN / k-NN / range loops live in one place now (engine.cc's RunScan).
-
-ScanResult SearchDatabase(const std::vector<Series>& db, const Series& query,
-                          ScanAlgorithm algorithm,
-                          const ScanOptions& options) {
-  return QueryEngine(db, EngineOptionsFrom(options, algorithm)).Search(query);
-}
-
-std::vector<Neighbor> KnnSearchDatabase(const std::vector<Series>& db,
-                                        const Series& query, int k,
-                                        ScanAlgorithm algorithm,
-                                        const ScanOptions& options,
-                                        StepCounter* counter) {
-  return QueryEngine(db, EngineOptionsFrom(options, algorithm))
-      .Knn(query, k, counter);
-}
-
-std::vector<Neighbor> RangeSearchDatabase(const std::vector<Series>& db,
-                                          const Series& query, double radius,
-                                          ScanAlgorithm algorithm,
-                                          const ScanOptions& options,
-                                          StepCounter* counter) {
-  return QueryEngine(db, EngineOptionsFrom(options, algorithm))
-      .Range(query, radius, counter);
-}
-
-Status ValidateScanInputs(const std::vector<Series>& db, const Series& query,
-                          const ScanOptions& options) {
-  (void)options;  // All option values currently have defined semantics.
-  return QueryEngine(db).ValidateQuery(query);
-}
-
-StatusOr<ScanResult> SearchDatabaseChecked(const std::vector<Series>& db,
-                                           const Series& query,
-                                           ScanAlgorithm algorithm,
-                                           const ScanOptions& options) {
-  return QueryEngine(db, EngineOptionsFrom(options, algorithm))
-      .SearchChecked(query);
-}
-
-StatusOr<std::vector<Neighbor>> KnnSearchDatabaseChecked(
-    const std::vector<Series>& db, const Series& query, int k,
-    ScanAlgorithm algorithm, const ScanOptions& options,
-    StepCounter* counter) {
-  return QueryEngine(db, EngineOptionsFrom(options, algorithm))
-      .KnnChecked(query, k, counter);
-}
-
-StatusOr<std::vector<Neighbor>> RangeSearchDatabaseChecked(
-    const std::vector<Series>& db, const Series& query, double radius,
-    ScanAlgorithm algorithm, const ScanOptions& options,
-    StepCounter* counter) {
-  return QueryEngine(db, EngineOptionsFrom(options, algorithm))
-      .RangeChecked(query, radius, counter);
-}
 
 std::uint64_t AnalyticBruteForceSteps(std::uint64_t num_objects,
                                       std::size_t length,

@@ -79,8 +79,7 @@ struct ServerStats {
 /// Shutdown(): stops admission, drains under drain_deadline, then flips
 /// the shared kill-switch so stragglers abort at their next cascade
 /// stage boundary with a typed status. Returns true for a clean drain.
-/// The engine must outlive the server and have a StorageBackend (the
-/// legacy vector adapter is not servable).
+/// The engine must outlive the server.
 ///
 /// Online reload (ISSUE 10): the engine is held as a generation-stamped
 /// shared_ptr swapped by SwapEngine. A swap is a barrier, not a restart:
@@ -137,8 +136,8 @@ class QueryServer {
   /// kOverloaded. Otherwise pauses dequeuing, waits for in-flight work
   /// to drain (queued requests are retained), flips the engine pointer
   /// + generation, and wakes the workers. Blocks the caller for at most
-  /// the tail latency of the in-flight set. `next` must have a
-  /// StorageBackend, like the constructor argument.
+  /// the tail latency of the in-flight set. `next` must be non-null,
+  /// like the constructor argument.
   [[nodiscard]] Status SwapEngine(std::shared_ptr<const QueryEngine> next,
                                   std::uint64_t generation)
       ROTIND_EXCLUDES(mutex_, stats_mutex_, engine_mutex_);

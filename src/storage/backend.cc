@@ -199,6 +199,11 @@ void FileBackend::ClearError() const {
   error_ = Status::Ok();
 }
 
+SignatureRows FileBackend::stored_signatures() const {
+  if (file_->ri_dims() == 0) return {};
+  return {file_->ri_signatures().data(), file_->ri_dims()};
+}
+
 // --------------------------------------------------------------------------
 // FaultInjectingBackend
 

@@ -105,6 +105,13 @@ class SeriesHandle {
   std::size_t n_ = 0;
 };
 
+/// Stored RIDX v2 rotation-invariant signature rows: a resident count x
+/// dims row-major matrix (see IndexFile::ri_signatures), or null/0.
+struct SignatureRows {
+  const double* rows = nullptr;
+  std::size_t dims = 0;
+};
+
 /// Uniform read interface over the three storages. All methods are const
 /// and thread-safe (SearchBatch shares one backend across workers).
 class StorageBackend {
@@ -140,6 +147,20 @@ class StorageBackend {
   /// every later query on the shared backend. No-op for backends that
   /// cannot fail.
   virtual void ClearError() const {}
+
+  /// Capability queries: resident structures a query driver may read
+  /// INSTEAD of calling Fetch. Both are null by default. A decorator must
+  /// not forward them — its Fetch may not return the inner bytes (fault
+  /// injection), and a driver reading the inner structures would route
+  /// every candidate around it.
+  ///
+  /// SoA tiles of the stored series, for blocked 8-candidates-at-a-time
+  /// scoring. Exposed only where Fetch is a free, infallible borrow of the
+  /// same bytes, so reading tiles directly is observationally identical.
+  virtual const FlatDataset* resident_tiles() const { return nullptr; }
+  /// Signature rows computed from the stored series when the index was
+  /// written (MakeVecSignature over the same bytes Fetch returns).
+  virtual SignatureRows stored_signatures() const { return {}; }
 };
 
 /// Zero-copy over a FlatDataset (which must outlive the backend).
@@ -153,12 +174,7 @@ class InMemoryBackend final : public StorageBackend {
   std::size_t length() const override { return flat_->length(); }
   SeriesHandle Fetch(std::size_t i, FetchStats* stats) const override;
   int label(std::size_t i) const override;
-
-  /// The borrowed dataset, exposing the SoA tiles for blocked scoring
-  /// (QueryEngine's 8-candidates-at-a-time cascade terminals). Fetch on
-  /// this backend is a free borrow, so a driver that reads tiles directly
-  /// is observationally identical to one that fetches per candidate.
-  const FlatDataset* flat() const { return flat_; }
+  const FlatDataset* resident_tiles() const override { return flat_; }
 
  private:
   const FlatDataset* flat_;
@@ -217,6 +233,7 @@ class FileBackend final : public StorageBackend {
   int label(std::size_t i) const override;
   [[nodiscard]] Status error() const override;
   void ClearError() const override;
+  SignatureRows stored_signatures() const override;
 
   [[nodiscard]] const IndexFile& file() const { return *file_; }
   [[nodiscard]] const BufferPool& pool() const { return pool_; }
@@ -275,6 +292,8 @@ class FaultInjectingBackend final : public StorageBackend {
   int label(std::size_t i) const override { return inner_->label(i); }
   [[nodiscard]] Status error() const override;
   void ClearError() const override;
+  // resident_tiles()/stored_signatures() deliberately stay null: injected
+  // faults must reach every candidate through Fetch.
 
   [[nodiscard]] FaultCounters fault_counters() const {
     return schedule_.counters();

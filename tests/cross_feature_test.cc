@@ -1,18 +1,19 @@
 /// Cross-feature exactness matrix: the wedge scan must agree with brute
 /// force for EVERY combination of distance kind, mirror invariance,
 /// rotation limit, and hierarchy construction — the full option space a
-/// downstream user can reach through ScanOptions.
+/// downstream user can reach through ScanOptions and QueryEngine.
 
 #include <cmath>
 #include <tuple>
 
 #include <gtest/gtest.h>
 
+#include "src/core/flat_dataset.h"
 #include "src/core/random.h"
 #include "src/distance/dtw.h"
 #include "src/distance/euclidean.h"
 #include "src/distance/rotation.h"
-#include "src/search/scan.h"
+#include "src/search/engine.h"
 
 namespace rotind {
 namespace {
@@ -39,6 +40,7 @@ TEST_P(CrossFeatureTest, WedgeScanMatchesBruteForce) {
           static_cast<std::uint64_t>(hierarchy));
   const std::size_t n = 26;
   const std::vector<Series> db = RandomDatabase(&rng, 18, n);
+  const FlatDataset flat = FlatDataset::FromItems(db);
 
   ScanOptions options;
   options.kind = kind == 0 ? DistanceKind::kEuclidean : DistanceKind::kDtw;
@@ -51,11 +53,13 @@ TEST_P(CrossFeatureTest, WedgeScanMatchesBruteForce) {
   const ScanAlgorithm reference = kind == 0
                                       ? ScanAlgorithm::kBruteForce
                                       : ScanAlgorithm::kBruteForceBanded;
+  const QueryEngine brute_engine(flat, EngineOptionsFrom(options, reference));
+  const QueryEngine wedge_engine(
+      flat, EngineOptionsFrom(options, ScanAlgorithm::kWedge));
   for (int trial = 0; trial < 3; ++trial) {
     const Series q = RandomDatabase(&rng, 1, n)[0];
-    const ScanResult brute = SearchDatabase(db, q, reference, options);
-    const ScanResult wedge =
-        SearchDatabase(db, q, ScanAlgorithm::kWedge, options);
+    const ScanResult brute = brute_engine.Search(q);
+    const ScanResult wedge = wedge_engine.Search(q);
     EXPECT_EQ(wedge.best_index, brute.best_index);
     EXPECT_NEAR(wedge.best_distance, brute.best_distance, 1e-9);
     // The reported alignment must reproduce the reported distance.
@@ -84,8 +88,10 @@ TEST(CrossFeatureTest, AlignmentReportedByBruteForceAlsoReconstructs) {
   const Series q = RandomDatabase(&rng, 1, n)[0];
   ScanOptions options;
   options.rotation.mirror = true;
+  const FlatDataset flat = FlatDataset::FromItems(db);
   const ScanResult r =
-      SearchDatabase(db, q, ScanAlgorithm::kBruteForce, options);
+      QueryEngine(flat, EngineOptionsFrom(options, ScanAlgorithm::kBruteForce))
+          .Search(q);
   Series aligned = r.best_mirrored ? Reversed(q) : q;
   aligned = RotateLeft(aligned, r.best_shift);
   EXPECT_NEAR(

@@ -155,12 +155,13 @@ TEST_P(EngineEquivalenceTest, AllCompositionsAgreeWithBruteForce) {
         }
       }
 
-      // Every legacy ScanAlgorithm, through the public adapter, on a
-      // database with the query removed (the adapters' historical shape).
+      // Every legacy ScanAlgorithm, through EngineOptionsFrom, on a
+      // database with the query removed.
       std::vector<Series> rest;
       for (std::size_t i = 0; i < w.items.size(); ++i) {
         if (i != qi) rest.push_back(w.items[i]);
       }
+      const FlatDataset flat_rest = FlatDataset::FromItems(rest);
       std::vector<ScanAlgorithm> algorithms = {
           ScanAlgorithm::kBruteForceBanded, ScanAlgorithm::kEarlyAbandon,
           ScanAlgorithm::kFftLowerBound, ScanAlgorithm::kWedge};
@@ -175,7 +176,8 @@ TEST_P(EngineEquivalenceTest, AllCompositionsAgreeWithBruteForce) {
         options.band = 4;
         options.rotation.mirror = mirror;
         const ScanResult got =
-            SearchDatabase(rest, query, algorithm, options);
+            QueryEngine(flat_rest, EngineOptionsFrom(options, algorithm))
+                .Search(query);
         EXPECT_NEAR(got.best_distance, ref.best_distance, 1e-9)
             << w.name << "/" << DistanceKindName(kind) << " algorithm "
             << static_cast<int>(algorithm);

@@ -1,7 +1,7 @@
 /// QueryEngine basics: cascade normalization, storage-backend agreement,
-/// adapter parity with the legacy scan API, and the single-sourced options
-/// (the old ScanOptions::wedge kind/band/rotation footgun is now a compile
-/// error — WedgePolicy simply has no such fields).
+/// parity between the tile and per-candidate drivers, and the
+/// single-sourced options (the old ScanOptions::wedge kind/band/rotation
+/// footgun is now a compile error — WedgePolicy simply has no such fields).
 
 #include "src/search/engine.h"
 
@@ -138,26 +138,6 @@ TEST(CascadeSpecTest, ForAlgorithmReproducesLegacyCompositions) {
 
 // --- Storage backends ------------------------------------------------------
 
-TEST(QueryEngineTest, FlatAndVectorBackendsAgreeExactly) {
-  const std::size_t n = 64;
-  const std::vector<Series> items = MakeProjectilePointsDatabase(40, n, 5);
-  const FlatDataset flat = FlatDataset::FromItems(items);
-  const Series query = items[7];
-
-  for (DistanceKind kind : {DistanceKind::kEuclidean, DistanceKind::kDtw}) {
-    EngineOptions options;
-    options.kind = kind;
-    const QueryEngine flat_engine(flat, options);
-    const QueryEngine vec_engine(items, options);
-    const ScanResult a = flat_engine.SearchLeaveOneOut(query, 7);
-    const ScanResult b = vec_engine.SearchLeaveOneOut(query, 7);
-    EXPECT_EQ(a.best_index, b.best_index);
-    EXPECT_EQ(a.best_distance, b.best_distance);
-    EXPECT_EQ(a.best_shift, b.best_shift);
-    EXPECT_EQ(a.counter.total_steps(), b.counter.total_steps());
-  }
-}
-
 TEST(QueryEngineTest, SearchFindsRotatedSelf) {
   const std::size_t n = 32;
   FlatDataset db = MakeDb(10, n, 9);
@@ -181,10 +161,12 @@ TEST(QueryEngineTest, LeaveOneOutSkipsTheHoldout) {
   EXPECT_NE(engine.SearchLeaveOneOut(query, 3).best_index, 3);
 }
 
-// --- Adapter parity --------------------------------------------------------
+// --- Driver parity ---------------------------------------------------------
 
-/// The legacy scan entry points are thin adapters over the engine; the two
-/// layers must agree bit-for-bit, step counts included.
+/// Every rival algorithm through the engine: candidates fetched one at a
+/// time (simulated-disk backend) and read from the FlatDataset borrow
+/// (resident tiles where the cascade allows) must agree bit-for-bit, step
+/// counts included.
 TEST(QueryEngineTest, AdaptersMatchEngineBitForBit) {
   const std::size_t n = 64;
   const std::vector<Series> items = MakeProjectilePointsDatabase(30, n, 12);
@@ -195,13 +177,14 @@ TEST(QueryEngineTest, AdaptersMatchEngineBitForBit) {
        {ScanAlgorithm::kBruteForce, ScanAlgorithm::kEarlyAbandon,
         ScanAlgorithm::kFftLowerBound, ScanAlgorithm::kWedge}) {
     ScanOptions options;
-    const ScanResult legacy =
-        SearchDatabase(items, query, algorithm, options);
+    EngineOptions fetching = EngineOptionsFrom(options, algorithm);
+    fetching.storage.backend = storage::BackendKind::kSimulated;
+    const ScanResult fetched = QueryEngine(flat, fetching).Search(query);
     const QueryEngine engine(flat, EngineOptionsFrom(options, algorithm));
     const ScanResult direct = engine.Search(query);
-    EXPECT_EQ(legacy.best_index, direct.best_index);
-    EXPECT_EQ(legacy.best_distance, direct.best_distance);
-    EXPECT_EQ(legacy.counter.total_steps(), direct.counter.total_steps())
+    EXPECT_EQ(fetched.best_index, direct.best_index);
+    EXPECT_EQ(fetched.best_distance, direct.best_distance);
+    EXPECT_EQ(fetched.counter.total_steps(), direct.counter.total_steps())
         << "algorithm " << static_cast<int>(algorithm);
   }
 }
@@ -214,8 +197,8 @@ TEST(QueryEngineTest, KnnLeaveOneOutMatchesRestrictedLegacyKnn) {
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (i != holdout) rest.push_back(items[i]);
   }
-  const auto legacy = KnnSearchDatabase(rest, items[holdout], 5,
-                                        ScanAlgorithm::kWedge, {});
+  const FlatDataset flat_rest = FlatDataset::FromItems(rest);
+  const auto legacy = QueryEngine(flat_rest).Knn(items[holdout], 5);
   const FlatDataset flat = FlatDataset::FromItems(items);
   const QueryEngine engine(flat);
   const auto engine_knn = engine.KnnLeaveOneOut(items[holdout], 5, holdout);
@@ -291,8 +274,11 @@ TEST(QueryEngineTest, WedgePolicyRidesAlongWithoutDuplicatingMeasure) {
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (i != 2) rest.push_back(items[i]);
   }
+  const FlatDataset flat_rest = FlatDataset::FromItems(rest);
   const ScanResult ref =
-      SearchDatabase(rest, items[2], ScanAlgorithm::kBruteForceBanded, options);
+      QueryEngine(flat_rest,
+                  EngineOptionsFrom(options, ScanAlgorithm::kBruteForceBanded))
+          .Search(items[2]);
   EXPECT_DOUBLE_EQ(wedge.best_distance, ref.best_distance);
 }
 

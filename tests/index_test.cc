@@ -7,13 +7,13 @@
 #include "src/core/random.h"
 #include "src/datasets/synthetic.h"
 #include "src/distance/rotation.h"
-#include "src/index/disk.h"
+#include "src/storage/simulated_disk.h"
 
 namespace rotind {
 namespace {
 
 TEST(SimulatedDiskTest, CountsFetchesAndPages) {
-  SimulatedDisk disk(/*page_size_bytes=*/64);  // 8 doubles per page
+  storage::SimulatedDisk disk(/*page_size_bytes=*/64);  // 8 doubles per page
   const int a = disk.Store(Series(8, 1.0));    // 1 page
   const int b = disk.Store(Series(20, 2.0));   // 3 pages (160 bytes)
   EXPECT_EQ(disk.num_objects(), 2u);
@@ -36,7 +36,7 @@ TEST(SimulatedDiskTest, CountsFetchesAndPages) {
 // whose byte range straddles a page boundary reads one page more than its
 // size implies, exactly as a real paged store would.
 TEST(SimulatedDiskTest, PagesSpannedIsOffsetAware) {
-  SimulatedDisk disk(/*page_size_bytes=*/4096);
+  storage::SimulatedDisk disk(/*page_size_bytes=*/4096);
   // 300 doubles = 2400 bytes. Object 0 occupies [0, 2400): page 0 only.
   // Object 1 occupies [2400, 4800): straddles pages 0 and 1 — two pages,
   // where the size-alone formula says ceil(2400/4096) = 1.
@@ -51,7 +51,7 @@ TEST(SimulatedDiskTest, PagesSpannedIsOffsetAware) {
 }
 
 TEST(SimulatedDiskTest, PeekDoesNotCount) {
-  SimulatedDisk disk;
+  storage::SimulatedDisk disk;
   disk.Store(Series(4, 1.0));
   EXPECT_EQ(disk.Peek(0).size(), 4u);
   EXPECT_EQ(disk.object_fetches(), 0u);
@@ -61,7 +61,7 @@ TEST(SimulatedDiskTest, PeekDoesNotCount) {
 // bounds assert compiles out). They must now be rejected (TryFetch/TryPeek)
 // or degrade to a shared empty series (Fetch/Peek), with nothing counted.
 TEST(SimulatedDiskTest, InvalidIdsAreRejectedNotUndefined) {
-  SimulatedDisk disk;
+  storage::SimulatedDisk disk;
   disk.Store(Series(4, 1.0));
   EXPECT_TRUE(disk.Contains(0));
   EXPECT_FALSE(disk.Contains(-1));

@@ -6,10 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/flat_dataset.h"
 #include "src/core/random.h"
 #include "src/distance/rotation.h"
 #include "src/index/candidate_scan.h"
-#include "src/search/scan.h"
+#include "src/search/engine.h"
 #include "src/shape/generate.h"
 #include "src/shape/profile.h"
 
@@ -34,10 +35,12 @@ TEST(IntegrationTest, RasterShapeRetrievalUnderRotation) {
   const Series query = ShapeToSeries(bitmaps[5].Rotated(1.1), n);
   ASSERT_FALSE(query.empty());
 
+  const FlatDataset flat = FlatDataset::FromItems(db);
   for (ScanAlgorithm algo :
        {ScanAlgorithm::kBruteForce, ScanAlgorithm::kEarlyAbandon,
         ScanAlgorithm::kFftLowerBound, ScanAlgorithm::kWedge}) {
-    const ScanResult r = SearchDatabase(db, query, algo, ScanOptions{});
+    const ScanResult r =
+        QueryEngine(flat, EngineOptionsFrom(ScanOptions{}, algo)).Search(query);
     EXPECT_EQ(r.best_index, 5) << "algo=" << static_cast<int>(algo);
   }
 }
@@ -56,6 +59,8 @@ TEST(IntegrationTest, IndexAgreesWithScanOnRasterShapes) {
   RotationInvariantIndex::Options opts;
   opts.dims = 8;
   RotationInvariantIndex index(db, opts);
+  const FlatDataset flat = FlatDataset::FromItems(db);
+  const QueryEngine engine(flat);
 
   for (int trial = 0; trial < 4; ++trial) {
     Series q = RotateLeft(db[rng.NextBounded(db.size())],
@@ -63,8 +68,7 @@ TEST(IntegrationTest, IndexAgreesWithScanOnRasterShapes) {
     for (double& v : q) v += rng.Gaussian(0.0, 0.02);
     ZNormalize(&q);
     const auto via_index = index.NearestNeighbor(q);
-    const auto via_scan =
-        SearchDatabase(db, q, ScanAlgorithm::kWedge, ScanOptions{});
+    const auto via_scan = engine.Search(q);
     EXPECT_EQ(via_index.best_index, via_scan.best_index);
     EXPECT_NEAR(via_index.best_distance, via_scan.best_distance, 1e-9);
   }
@@ -106,18 +110,17 @@ TEST(IntegrationTest, MirrorInvarianceMatchesEnantiomorphicSkull) {
         ZNormalized(RadialProfile(RandomShapeSpec(&rng, 8, 0.3, 1.2), n)));
   }
   db.push_back(facing_left);
+  const FlatDataset flat = FlatDataset::FromItems(db);
 
-  ScanOptions with_mirror;
+  EngineOptions with_mirror;
   with_mirror.rotation.mirror = true;
-  const ScanResult hit =
-      SearchDatabase(db, skull, ScanAlgorithm::kWedge, with_mirror);
+  const ScanResult hit = QueryEngine(flat, with_mirror).Search(skull);
   EXPECT_EQ(hit.best_index, 10);
   EXPECT_NEAR(hit.best_distance, 0.0, 1e-9);
   EXPECT_TRUE(hit.best_mirrored);
 
   // Without mirror invariance, the reversed skull is NOT a perfect match.
-  const ScanResult miss =
-      SearchDatabase(db, skull, ScanAlgorithm::kWedge, ScanOptions{});
+  const ScanResult miss = QueryEngine(flat).Search(skull);
   EXPECT_GT(miss.best_distance, 0.1);
 }
 
@@ -152,15 +155,20 @@ TEST(IntegrationTest, DtwPipelineHandlesWarpedRotatedShapes) {
   q = AddNoise(q, &rng, 0.03);
   ZNormalize(&q);
 
+  const FlatDataset flat = FlatDataset::FromItems(db);
   ScanOptions options;
   options.kind = DistanceKind::kDtw;
   options.band = 4;
-  const ScanResult r = SearchDatabase(db, q, ScanAlgorithm::kWedge, options);
+  const ScanResult r =
+      QueryEngine(flat, EngineOptionsFrom(options, ScanAlgorithm::kWedge))
+          .Search(q);
   EXPECT_EQ(r.best_index, 7);
 
   // And the full scan agrees.
   const ScanResult brute =
-      SearchDatabase(db, q, ScanAlgorithm::kBruteForceBanded, options);
+      QueryEngine(flat,
+                  EngineOptionsFrom(options, ScanAlgorithm::kBruteForceBanded))
+          .Search(q);
   EXPECT_EQ(brute.best_index, r.best_index);
   EXPECT_NEAR(brute.best_distance, r.best_distance, 1e-9);
 }

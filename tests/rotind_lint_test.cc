@@ -554,6 +554,39 @@ TEST(RotindLintTest, RawFileMutationExemptionsAreScoped) {
   EXPECT_TRUE(CheckRawFileMutation(files).empty());
 }
 
+TEST(RotindLintTest, DetectsDynamicCastInSrc) {
+  const std::vector<SourceFile> files = {
+      {"src/search/bad.cc",
+       "const FlatDataset* Tiles(const StorageBackend* b) {\n"
+       "  const auto* mem = dynamic_cast<const InMemoryBackend*>(b);\n"
+       "  return mem != nullptr ? mem->flat() : nullptr;\n"
+       "}\n"},
+  };
+  const std::vector<Finding> findings = CheckDynamicCast(files);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "dynamic-cast");
+  EXPECT_EQ(findings[0].line, 2);
+  EXPECT_NE(findings[0].message.find("capability"), std::string::npos);
+  EXPECT_EQ(CountRule(RunAllChecks(files), "dynamic-cast"), 1);
+}
+
+TEST(RotindLintTest, DynamicCastAllowedOutsideSrcAndInProse) {
+  const std::vector<SourceFile> files = {
+      // Prose and string literals never trip the rule.
+      {"src/search/ok.cc",
+       "// no dynamic_cast probes: ask resident_tiles() instead\n"
+       "const char* kHint = \"dynamic_cast<T*>(p)\";\n"
+       "const auto* tiles = backend.resident_tiles();\n"},
+      // Identifiers merely containing the word are not the keyword.
+      {"src/core/ok.h", "int my_dynamic_cast_count = 0;\n"},
+      // Tests and tools sit outside src/ and may probe types.
+      {"tests/some_test.cc",
+       "EXPECT_NE(dynamic_cast<const FileBackend*>(b), nullptr);\n"},
+      {"tools/rotind_cli.cc", "auto* f = dynamic_cast<const X*>(p);\n"},
+  };
+  EXPECT_TRUE(CheckDynamicCast(files).empty());
+}
+
 TEST(RotindLintTest, RunAllChecksAggregatesAndSorts) {
   const std::vector<SourceFile> files = {
       {"src/envelope/bad.cc",

@@ -6,8 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "src/core/random.h"
+#include "src/core/flat_dataset.h"
 #include "src/core/step_counter.h"
-#include "src/search/scan.h"
+#include "src/search/engine.h"
 
 namespace rotind {
 namespace {
@@ -27,16 +28,18 @@ TEST(ScanEdgeTest, FftAlgorithmUnderDtwIsStillExact) {
   // an exact scan rather than silently using the Euclidean bound.
   Rng rng(1);
   const std::size_t n = 24;
-  const auto db = RandomDatabase(&rng, 20, n);
+  const FlatDataset flat = FlatDataset::FromItems(RandomDatabase(&rng, 20, n));
   ScanOptions options;
   options.kind = DistanceKind::kDtw;
   options.band = 3;
+  const QueryEngine banded(
+      flat, EngineOptionsFrom(options, ScanAlgorithm::kBruteForceBanded));
+  const QueryEngine fft_engine(
+      flat, EngineOptionsFrom(options, ScanAlgorithm::kFftLowerBound));
   for (int trial = 0; trial < 3; ++trial) {
     Series q = RandomDatabase(&rng, 1, n)[0];
-    const ScanResult reference =
-        SearchDatabase(db, q, ScanAlgorithm::kBruteForceBanded, options);
-    const ScanResult fft =
-        SearchDatabase(db, q, ScanAlgorithm::kFftLowerBound, options);
+    const ScanResult reference = banded.Search(q);
+    const ScanResult fft = fft_engine.Search(q);
     EXPECT_EQ(fft.best_index, reference.best_index);
     EXPECT_NEAR(fft.best_distance, reference.best_distance, 1e-9);
   }
@@ -44,12 +47,13 @@ TEST(ScanEdgeTest, FftAlgorithmUnderDtwIsStillExact) {
 
 TEST(ScanEdgeTest, SingleObjectDatabase) {
   Rng rng(2);
-  const auto db = RandomDatabase(&rng, 1, 16);
+  const FlatDataset flat = FlatDataset::FromItems(RandomDatabase(&rng, 1, 16));
   const Series q = RandomDatabase(&rng, 1, 16)[0];
   for (ScanAlgorithm algo :
        {ScanAlgorithm::kBruteForce, ScanAlgorithm::kEarlyAbandon,
         ScanAlgorithm::kFftLowerBound, ScanAlgorithm::kWedge}) {
-    const ScanResult r = SearchDatabase(db, q, algo, ScanOptions{});
+    const ScanResult r =
+        QueryEngine(flat, EngineOptionsFrom(ScanOptions{}, algo)).Search(q);
     EXPECT_EQ(r.best_index, 0);
     EXPECT_TRUE(std::isfinite(r.best_distance));
   }
@@ -57,12 +61,11 @@ TEST(ScanEdgeTest, SingleObjectDatabase) {
 
 TEST(ScanEdgeTest, KnnWithKOneMatchesSearch) {
   Rng rng(3);
-  const auto db = RandomDatabase(&rng, 25, 20);
+  const FlatDataset flat = FlatDataset::FromItems(RandomDatabase(&rng, 25, 20));
   const Series q = RandomDatabase(&rng, 1, 20)[0];
-  const ScanResult nn =
-      SearchDatabase(db, q, ScanAlgorithm::kWedge, ScanOptions{});
-  const auto knn =
-      KnnSearchDatabase(db, q, 1, ScanAlgorithm::kWedge, ScanOptions{});
+  const QueryEngine wedge(flat);
+  const ScanResult nn = wedge.Search(q);
+  const auto knn = wedge.Knn(q, 1);
   ASSERT_EQ(knn.size(), 1u);
   EXPECT_EQ(knn[0].index, nn.best_index);
   EXPECT_NEAR(knn[0].distance, nn.best_distance, 1e-9);
@@ -73,8 +76,8 @@ TEST(ScanEdgeTest, RangeSearchRadiusZeroFindsExactDuplicates) {
   auto db = RandomDatabase(&rng, 10, 24);
   const Series q = RandomDatabase(&rng, 1, 24)[0];
   db[6] = RotateLeft(q, 5);  // exact rotated duplicate
-  const auto hits =
-      RangeSearchDatabase(db, q, 0.0, ScanAlgorithm::kWedge, ScanOptions{});
+  const FlatDataset flat = FlatDataset::FromItems(db);
+  const auto hits = QueryEngine(flat).Range(q, 0.0);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].index, 6);
   EXPECT_NEAR(hits[0].distance, 0.0, 1e-12);
@@ -82,11 +85,10 @@ TEST(ScanEdgeTest, RangeSearchRadiusZeroFindsExactDuplicates) {
 
 TEST(ScanEdgeTest, RangeSearchHugeRadiusReturnsEverything) {
   Rng rng(5);
-  const auto db = RandomDatabase(&rng, 12, 16);
+  const FlatDataset flat = FlatDataset::FromItems(RandomDatabase(&rng, 12, 16));
   const Series q = RandomDatabase(&rng, 1, 16)[0];
-  const auto hits = RangeSearchDatabase(db, q, 1e6, ScanAlgorithm::kWedge,
-                                        ScanOptions{});
-  EXPECT_EQ(hits.size(), db.size());
+  const auto hits = QueryEngine(flat).Range(q, 1e6);
+  EXPECT_EQ(hits.size(), flat.size());
   // Sorted ascending.
   for (std::size_t i = 1; i < hits.size(); ++i) {
     EXPECT_LE(hits[i - 1].distance, hits[i].distance);
@@ -100,6 +102,7 @@ TEST(ScanEdgeTest, MirrorPlusRotationLimitedCombination) {
   const Series q = RandomDatabase(&rng, 1, n)[0];
   // A mirrored copy at a small shift: findable only with BOTH options.
   db[8] = RotateLeft(Reversed(q), 2);
+  const FlatDataset flat = FlatDataset::FromItems(db);
 
   ScanOptions options;
   options.rotation.mirror = true;
@@ -107,7 +110,8 @@ TEST(ScanEdgeTest, MirrorPlusRotationLimitedCombination) {
   for (ScanAlgorithm algo : {ScanAlgorithm::kBruteForce,
                              ScanAlgorithm::kEarlyAbandon,
                              ScanAlgorithm::kWedge}) {
-    const ScanResult r = SearchDatabase(db, q, algo, options);
+    const ScanResult r =
+        QueryEngine(flat, EngineOptionsFrom(options, algo)).Search(q);
     EXPECT_EQ(r.best_index, 8) << static_cast<int>(algo);
     EXPECT_NEAR(r.best_distance, 0.0, 1e-9);
     EXPECT_TRUE(r.best_mirrored);
@@ -117,16 +121,18 @@ TEST(ScanEdgeTest, MirrorPlusRotationLimitedCombination) {
 TEST(ScanEdgeTest, AllAlgorithmsAgreeUnderRotationLimit) {
   Rng rng(7);
   const std::size_t n = 30;
-  const auto db = RandomDatabase(&rng, 20, n);
+  const FlatDataset flat = FlatDataset::FromItems(RandomDatabase(&rng, 20, n));
   ScanOptions options;
   options.rotation.max_shift = 4;
   const Series q = RandomDatabase(&rng, 1, n)[0];
   const ScanResult brute =
-      SearchDatabase(db, q, ScanAlgorithm::kBruteForce, options);
+      QueryEngine(flat, EngineOptionsFrom(options, ScanAlgorithm::kBruteForce))
+          .Search(q);
   for (ScanAlgorithm algo : {ScanAlgorithm::kEarlyAbandon,
                              ScanAlgorithm::kFftLowerBound,
                              ScanAlgorithm::kWedge}) {
-    const ScanResult r = SearchDatabase(db, q, algo, options);
+    const ScanResult r =
+        QueryEngine(flat, EngineOptionsFrom(options, algo)).Search(q);
     EXPECT_EQ(r.best_index, brute.best_index);
     EXPECT_NEAR(r.best_distance, brute.best_distance, 1e-9);
   }
@@ -156,12 +162,10 @@ TEST(StepCounterTest, AggregationAndReset) {
 
 TEST(ScanEdgeTest, DeterministicAcrossRuns) {
   Rng rng(8);
-  const auto db = RandomDatabase(&rng, 30, 24);
+  const FlatDataset flat = FlatDataset::FromItems(RandomDatabase(&rng, 30, 24));
   const Series q = RandomDatabase(&rng, 1, 24)[0];
-  const ScanResult a =
-      SearchDatabase(db, q, ScanAlgorithm::kWedge, ScanOptions{});
-  const ScanResult b =
-      SearchDatabase(db, q, ScanAlgorithm::kWedge, ScanOptions{});
+  const ScanResult a = QueryEngine(flat).Search(q);
+  const ScanResult b = QueryEngine(flat).Search(q);
   EXPECT_EQ(a.best_index, b.best_index);
   EXPECT_EQ(a.counter.total_steps(), b.counter.total_steps());
 }

@@ -7,6 +7,7 @@
 #include "src/core/random.h"
 #include "src/datasets/synthetic.h"
 #include "src/distance/rotation.h"
+#include "src/search/engine.h"
 
 namespace rotind {
 namespace {
@@ -31,18 +32,21 @@ Series RandomQuery(Rng* rng, std::size_t n) {
 TEST(ScanTest, AllEuclideanRivalsAgree) {
   Rng rng(1);
   const std::size_t n = 32;
-  const std::vector<Series> db = RandomDatabase(&rng, 40, n);
+  const FlatDataset flat = FlatDataset::FromItems(RandomDatabase(&rng, 40, n));
   ScanOptions options;
   options.kind = DistanceKind::kEuclidean;
 
   for (int trial = 0; trial < 5; ++trial) {
     const Series q = RandomQuery(&rng, n);
     const ScanResult brute =
-        SearchDatabase(db, q, ScanAlgorithm::kBruteForce, options);
+        QueryEngine(flat,
+                    EngineOptionsFrom(options, ScanAlgorithm::kBruteForce))
+            .Search(q);
     for (ScanAlgorithm algo :
          {ScanAlgorithm::kEarlyAbandon, ScanAlgorithm::kFftLowerBound,
           ScanAlgorithm::kWedge}) {
-      const ScanResult r = SearchDatabase(db, q, algo, options);
+      const ScanResult r =
+          QueryEngine(flat, EngineOptionsFrom(options, algo)).Search(q);
       EXPECT_NEAR(r.best_distance, brute.best_distance, 1e-9)
           << "algo=" << static_cast<int>(algo);
       EXPECT_EQ(r.best_index, brute.best_index);
@@ -53,7 +57,7 @@ TEST(ScanTest, AllEuclideanRivalsAgree) {
 TEST(ScanTest, AllDtwRivalsAgree) {
   Rng rng(2);
   const std::size_t n = 24;
-  const std::vector<Series> db = RandomDatabase(&rng, 25, n);
+  const FlatDataset flat = FlatDataset::FromItems(RandomDatabase(&rng, 25, n));
   ScanOptions options;
   options.kind = DistanceKind::kDtw;
   options.band = 3;
@@ -61,10 +65,13 @@ TEST(ScanTest, AllDtwRivalsAgree) {
   for (int trial = 0; trial < 3; ++trial) {
     const Series q = RandomQuery(&rng, n);
     const ScanResult banded =
-        SearchDatabase(db, q, ScanAlgorithm::kBruteForceBanded, options);
+        QueryEngine(
+            flat, EngineOptionsFrom(options, ScanAlgorithm::kBruteForceBanded))
+            .Search(q);
     for (ScanAlgorithm algo :
          {ScanAlgorithm::kEarlyAbandon, ScanAlgorithm::kWedge}) {
-      const ScanResult r = SearchDatabase(db, q, algo, options);
+      const ScanResult r =
+          QueryEngine(flat, EngineOptionsFrom(options, algo)).Search(q);
       EXPECT_NEAR(r.best_distance, banded.best_distance, 1e-9);
       EXPECT_EQ(r.best_index, banded.best_index);
     }
@@ -77,11 +84,13 @@ TEST(ScanTest, FindsPlantedRotatedMatch) {
   std::vector<Series> db = RandomDatabase(&rng, 30, n);
   const Series q = RandomQuery(&rng, n);
   db[17] = RotateLeft(q, 9);
+  const FlatDataset flat = FlatDataset::FromItems(db);
   ScanOptions options;
   for (ScanAlgorithm algo :
        {ScanAlgorithm::kBruteForce, ScanAlgorithm::kEarlyAbandon,
         ScanAlgorithm::kFftLowerBound, ScanAlgorithm::kWedge}) {
-    const ScanResult r = SearchDatabase(db, q, algo, options);
+    const ScanResult r =
+        QueryEngine(flat, EngineOptionsFrom(options, algo)).Search(q);
     EXPECT_EQ(r.best_index, 17) << "algo=" << static_cast<int>(algo);
     EXPECT_NEAR(r.best_distance, 0.0, 1e-9);
   }
@@ -93,8 +102,8 @@ TEST(ScanTest, WedgeReportsWinningShift) {
   std::vector<Series> db = RandomDatabase(&rng, 10, n);
   const Series q = RandomQuery(&rng, n);
   db[3] = RotateLeft(q, 11);
-  const ScanResult r =
-      SearchDatabase(db, q, ScanAlgorithm::kWedge, ScanOptions{});
+  const FlatDataset flat = FlatDataset::FromItems(db);
+  const ScanResult r = QueryEngine(flat).Search(q);
   EXPECT_EQ(r.best_index, 3);
   EXPECT_EQ(r.best_shift, 11);
   EXPECT_FALSE(r.best_mirrored);
@@ -106,11 +115,13 @@ TEST(ScanTest, MirrorQueryFindsReversedObject) {
   std::vector<Series> db = RandomDatabase(&rng, 12, n);
   const Series q = RandomQuery(&rng, n);
   db[7] = RotateLeft(Reversed(q), 4);
+  const FlatDataset flat = FlatDataset::FromItems(db);
   ScanOptions options;
   options.rotation.mirror = true;
   for (ScanAlgorithm algo : {ScanAlgorithm::kEarlyAbandon,
                              ScanAlgorithm::kWedge}) {
-    const ScanResult r = SearchDatabase(db, q, algo, options);
+    const ScanResult r =
+        QueryEngine(flat, EngineOptionsFrom(options, algo)).Search(q);
     EXPECT_EQ(r.best_index, 7);
     EXPECT_NEAR(r.best_distance, 0.0, 1e-9);
     EXPECT_TRUE(r.best_mirrored);
@@ -126,12 +137,16 @@ TEST(ScanTest, WedgeIsCheaperThanBruteForceOnRealisticData) {
   const Series q = db[rng.NextBounded(200)];
   std::vector<Series> rest = db;
   rest.erase(rest.begin() + 50);
+  const FlatDataset flat_rest = FlatDataset::FromItems(rest);
 
   ScanOptions options;
   const ScanResult brute =
-      SearchDatabase(rest, q, ScanAlgorithm::kBruteForce, options);
+      QueryEngine(flat_rest,
+                  EngineOptionsFrom(options, ScanAlgorithm::kBruteForce))
+          .Search(q);
   const ScanResult wedge =
-      SearchDatabase(rest, q, ScanAlgorithm::kWedge, options);
+      QueryEngine(flat_rest, EngineOptionsFrom(options, ScanAlgorithm::kWedge))
+          .Search(q);
   EXPECT_NEAR(wedge.best_distance, brute.best_distance, 1e-9);
   EXPECT_LT(wedge.counter.total_steps(), brute.counter.total_steps() / 5);
 }
@@ -140,24 +155,28 @@ TEST(ScanTest, AnalyticBruteForceStepsMatchActualCounter) {
   Rng rng(7);
   const std::size_t n = 20;
   const std::size_t m = 15;
-  const std::vector<Series> db = RandomDatabase(&rng, m, n);
+  const FlatDataset flat = FlatDataset::FromItems(RandomDatabase(&rng, m, n));
   const Series q = RandomQuery(&rng, n);
 
   ScanOptions options;
   const ScanResult ed =
-      SearchDatabase(db, q, ScanAlgorithm::kBruteForce, options);
+      QueryEngine(flat, EngineOptionsFrom(options, ScanAlgorithm::kBruteForce))
+          .Search(q);
   EXPECT_EQ(ed.counter.total_steps(),
             AnalyticBruteForceSteps(m, n, n, DistanceKind::kEuclidean, 0));
 
   options.kind = DistanceKind::kDtw;
   options.band = 3;
   const ScanResult dtw =
-      SearchDatabase(db, q, ScanAlgorithm::kBruteForceBanded, options);
+      QueryEngine(flat,
+                  EngineOptionsFrom(options, ScanAlgorithm::kBruteForceBanded))
+          .Search(q);
   EXPECT_EQ(dtw.counter.total_steps(),
             AnalyticBruteForceSteps(m, n, n, DistanceKind::kDtw, 3));
 
   const ScanResult dtw_full =
-      SearchDatabase(db, q, ScanAlgorithm::kBruteForce, options);
+      QueryEngine(flat, EngineOptionsFrom(options, ScanAlgorithm::kBruteForce))
+          .Search(q);
   EXPECT_EQ(dtw_full.counter.total_steps(),
             AnalyticBruteForceSteps(m, n, n, DistanceKind::kDtw, -1));
 }
@@ -176,11 +195,12 @@ TEST(KnnSearchTest, MatchesBruteForceOrdering) {
   }
   std::sort(ref.begin(), ref.end());
 
+  const FlatDataset flat = FlatDataset::FromItems(db);
   for (ScanAlgorithm algo : {ScanAlgorithm::kBruteForce,
                              ScanAlgorithm::kEarlyAbandon,
                              ScanAlgorithm::kWedge}) {
     const std::vector<Neighbor> knn =
-        KnnSearchDatabase(db, q, 5, algo, ScanOptions{});
+        QueryEngine(flat, EngineOptionsFrom(ScanOptions{}, algo)).Knn(q, 5);
     ASSERT_EQ(knn.size(), 5u);
     for (int i = 0; i < 5; ++i) {
       EXPECT_NEAR(knn[static_cast<std::size_t>(i)].distance,
@@ -192,10 +212,9 @@ TEST(KnnSearchTest, MatchesBruteForceOrdering) {
 
 TEST(KnnSearchTest, KLargerThanDatabase) {
   Rng rng(9);
-  const std::vector<Series> db = RandomDatabase(&rng, 4, 16);
+  const FlatDataset flat = FlatDataset::FromItems(RandomDatabase(&rng, 4, 16));
   const Series q = RandomQuery(&rng, 16);
-  const std::vector<Neighbor> knn =
-      KnnSearchDatabase(db, q, 10, ScanAlgorithm::kWedge, ScanOptions{});
+  const std::vector<Neighbor> knn = QueryEngine(flat).Knn(q, 10);
   EXPECT_EQ(knn.size(), 4u);
 }
 
@@ -213,11 +232,13 @@ TEST(RangeSearchTest, MatchesBruteForceSet) {
   std::sort(sorted.begin(), sorted.end());
   const double radius = sorted[10];  // include exactly 11 objects (ties rare)
 
+  const FlatDataset flat = FlatDataset::FromItems(db);
   for (ScanAlgorithm algo : {ScanAlgorithm::kBruteForce,
                              ScanAlgorithm::kEarlyAbandon,
                              ScanAlgorithm::kWedge}) {
     const std::vector<Neighbor> in_range =
-        RangeSearchDatabase(db, q, radius, algo, ScanOptions{});
+        QueryEngine(flat, EngineOptionsFrom(ScanOptions{}, algo))
+            .Range(q, radius);
     std::size_t expected = 0;
     for (double d : dists) {
       if (d <= radius) ++expected;
@@ -233,8 +254,8 @@ TEST(RangeSearchTest, MatchesBruteForceSet) {
 
 TEST(ScanTest, EmptyDatabase) {
   const Series q = {1.0, 2.0, 3.0};
-  const ScanResult r =
-      SearchDatabase({}, q, ScanAlgorithm::kWedge, ScanOptions{});
+  const FlatDataset empty;
+  const ScanResult r = QueryEngine(empty).Search(q);
   EXPECT_EQ(r.best_index, -1);
   EXPECT_TRUE(std::isinf(r.best_distance));
 }

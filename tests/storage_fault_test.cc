@@ -301,6 +301,72 @@ TEST(FaultInjectingBackendTest, CleanScheduleIsTransparent) {
   EXPECT_EQ(checked->best_distance, truth.best_distance);
 }
 
+/// The decorator must not forward the inner backend's resident tiles: a
+/// blocked-eligible cascade (ED full scan) over a faulty in-memory backend
+/// has to fetch every candidate through the decorator, or the injected
+/// fault would be skipped and the scan would report an exact answer.
+TEST(FaultInjectingBackendTest, BlockedCascadeStillFetchesThroughDecorator) {
+  const std::vector<Series> items =
+      MakeProjectilePointsDatabase(20, 32, 303);
+  const FlatDataset flat = FlatDataset::FromItems(items);
+
+  FaultScheduleSpec spec;
+  spec.permanent_fail_key = 9;
+  auto faulty = std::make_unique<FaultInjectingBackend>(
+      std::make_unique<InMemoryBackend>(flat), spec);
+  EXPECT_NE(faulty->inner().resident_tiles(), nullptr);
+  EXPECT_EQ(faulty->resident_tiles(), nullptr);
+
+  EngineOptions options;
+  options.cascade.stages = {StageKind::kFullScan};
+  ASSERT_TRUE(options.simd.blocked_full_scan);
+  const QueryEngine engine(std::move(faulty), options);
+  const Series query(flat.data(0), flat.data(0) + flat.length());
+  const auto checked = engine.SearchChecked(query);
+  ASSERT_FALSE(checked.ok()) << "the tile path bypassed the decorator";
+  EXPECT_EQ(checked.status().code(), StatusCode::kIoError);
+}
+
+/// Nor the file backend's stored RIDX v2 signature rows: through a clean
+/// decorator the vec-signature filter embeds every fetched candidate on
+/// the fly, so its step counts equal the in-memory engine's, not the
+/// cheaper stored-row lookups of the bare file backend.
+TEST(FaultInjectingBackendTest, StoredSignatureRowsAreNotForwarded) {
+  const std::vector<Series> items =
+      MakeProjectilePointsDatabase(24, 40, 304);
+  const FlatDataset flat = FlatDataset::FromItems(items);
+  const std::string path = WriteIndex(items, "sigrows");
+
+  EngineOptions options;
+  options.cascade.stages = {StageKind::kVecSignature, StageKind::kExactScan};
+  const Series query(flat.data(2), flat.data(2) + flat.length());
+  const ScanResult memory = QueryEngine(flat, options).Search(query);
+
+  auto file = FileBackend::Open(path, 8, EvictionPolicy::kLru);
+  ASSERT_TRUE(file.ok()) << file.status().message();
+  ASSERT_NE((*file)->stored_signatures().rows, nullptr);
+  auto decorated = std::make_unique<FaultInjectingBackend>(
+      *std::move(file), FaultScheduleSpec());
+  EXPECT_EQ(decorated->stored_signatures().rows, nullptr);
+  const QueryEngine engine(std::move(decorated), options);
+  const auto checked = engine.SearchChecked(query);
+  ASSERT_TRUE(checked.ok()) << checked.status().message();
+  EXPECT_EQ(checked->best_index, memory.best_index);
+  EXPECT_EQ(checked->best_distance, memory.best_distance);
+  EXPECT_EQ(checked->counter.steps, memory.counter.steps);
+  EXPECT_EQ(checked->counter.setup_steps, memory.counter.setup_steps);
+  EXPECT_EQ(checked->counter.lower_bound_evals,
+            memory.counter.lower_bound_evals);
+
+  // The bare file backend does take the stored-row path, so the equality
+  // above is not vacuous.
+  auto bare = FileBackend::Open(path, 8, EvictionPolicy::kLru);
+  ASSERT_TRUE(bare.ok()) << bare.status().message();
+  const QueryEngine stored(*std::move(bare), options);
+  EXPECT_LT(stored.Search(query).counter.steps, memory.counter.steps);
+  std::remove(path.c_str());
+}
+
 /// OpenBackend plumbs StorageOptions retry/fault tuning into the file
 /// backend — the path `rotind serve --fault-*` and the load bench use.
 TEST(OpenBackendTest, StorageOptionsCarryRetryAndFaults) {

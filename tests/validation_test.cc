@@ -4,10 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/flat_dataset.h"
 #include "src/distance/rotation.h"
-#include "src/index/disk.h"
+#include "src/search/engine.h"
 #include "src/search/hmerge.h"
-#include "src/search/scan.h"
+#include "src/storage/simulated_disk.h"
 
 namespace rotind {
 namespace {
@@ -21,29 +22,33 @@ std::vector<Series> SmallDb() {
 // --- Scan entry points -----------------------------------------------------
 
 TEST(ScanValidationTest, AcceptsWellFormedInputs) {
-  const auto db = SmallDb();
+  const FlatDataset flat = FlatDataset::FromItems(SmallDb());
+  const QueryEngine engine(flat);
   const Series query{0.5, 1.5, 2.5, 3.5};
-  StatusOr<ScanResult> r =
-      SearchDatabaseChecked(db, query, ScanAlgorithm::kWedge, ScanOptions{});
+  StatusOr<ScanResult> r = engine.SearchChecked(query);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   // Same answer as the unchecked entry point.
-  const ScanResult direct =
-      SearchDatabase(db, query, ScanAlgorithm::kWedge, ScanOptions{});
+  const ScanResult direct = engine.Search(query);
   EXPECT_EQ(r->best_index, direct.best_index);
   EXPECT_DOUBLE_EQ(r->best_distance, direct.best_distance);
 }
 
 TEST(ScanValidationTest, RejectsEmptyQuery) {
-  StatusOr<ScanResult> r = SearchDatabaseChecked(
-      SmallDb(), Series{}, ScanAlgorithm::kBruteForce, ScanOptions{});
+  const FlatDataset flat = FlatDataset::FromItems(SmallDb());
+  StatusOr<ScanResult> r =
+      QueryEngine(flat, EngineOptionsFrom(ScanOptions{},
+                                          ScanAlgorithm::kBruteForce))
+          .SearchChecked(Series{});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ScanValidationTest, RejectsNonFiniteQuery) {
+  const FlatDataset flat = FlatDataset::FromItems(SmallDb());
   StatusOr<ScanResult> r =
-      SearchDatabaseChecked(SmallDb(), Series{0.0, kNan, 2.0, 3.0},
-                            ScanAlgorithm::kEarlyAbandon, ScanOptions{});
+      QueryEngine(flat, EngineOptionsFrom(ScanOptions{},
+                                          ScanAlgorithm::kEarlyAbandon))
+          .SearchChecked(Series{0.0, kNan, 2.0, 3.0});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
@@ -51,8 +56,8 @@ TEST(ScanValidationTest, RejectsNonFiniteQuery) {
 TEST(ScanValidationTest, RejectsMismatchedDbItem) {
   auto db = SmallDb();
   db.push_back({1.0, 2.0});  // wrong length
-  StatusOr<ScanResult> r = SearchDatabaseChecked(
-      db, Series{0.0, 1.0, 2.0, 3.0}, ScanAlgorithm::kWedge, ScanOptions{});
+  // Ragged items are rejected where the database is built.
+  StatusOr<FlatDataset> r = FlatDataset::FromItemsChecked(db);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   // The message names the offending item.
@@ -61,33 +66,32 @@ TEST(ScanValidationTest, RejectsMismatchedDbItem) {
 }
 
 TEST(ScanValidationTest, KnnRejectsNonPositiveK) {
+  const FlatDataset flat = FlatDataset::FromItems(SmallDb());
   StatusOr<std::vector<Neighbor>> r =
-      KnnSearchDatabaseChecked(SmallDb(), Series{0.0, 1.0, 2.0, 3.0}, 0,
-                               ScanAlgorithm::kWedge, ScanOptions{});
+      QueryEngine(flat).KnnChecked(Series{0.0, 1.0, 2.0, 3.0}, 0);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ScanValidationTest, RangeRejectsBadRadius) {
+  const FlatDataset flat = FlatDataset::FromItems(SmallDb());
+  const QueryEngine engine(flat);
   for (double radius : {-1.0, kNan, std::numeric_limits<double>::infinity()}) {
     StatusOr<std::vector<Neighbor>> r =
-        RangeSearchDatabaseChecked(SmallDb(), Series{0.0, 1.0, 2.0, 3.0},
-                                   radius, ScanAlgorithm::kWedge,
-                                   ScanOptions{});
+        engine.RangeChecked(Series{0.0, 1.0, 2.0, 3.0}, radius);
     ASSERT_FALSE(r.ok()) << radius;
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   }
 }
 
 TEST(ScanValidationTest, KnnCheckedMatchesUnchecked) {
-  const auto db = SmallDb();
+  const FlatDataset flat = FlatDataset::FromItems(SmallDb());
+  const QueryEngine engine(
+      flat, EngineOptionsFrom(ScanOptions{}, ScanAlgorithm::kEarlyAbandon));
   const Series query{0.1, 1.1, 2.1, 3.1};
-  StatusOr<std::vector<Neighbor>> r = KnnSearchDatabaseChecked(
-      db, query, 2, ScanAlgorithm::kEarlyAbandon, ScanOptions{});
+  StatusOr<std::vector<Neighbor>> r = engine.KnnChecked(query, 2);
   ASSERT_TRUE(r.ok());
-  const auto direct =
-      KnnSearchDatabase(db, query, 2, ScanAlgorithm::kEarlyAbandon,
-                        ScanOptions{});
+  const auto direct = engine.Knn(query, 2);
   ASSERT_EQ(r->size(), direct.size());
   for (std::size_t i = 0; i < direct.size(); ++i) {
     EXPECT_EQ((*r)[i].index, direct[i].index);
@@ -179,7 +183,7 @@ TEST(RotationValidationTest, CheckedMatchesUnchecked) {
 // --- SimulatedDisk ---------------------------------------------------------
 
 TEST(DiskValidationTest, TryFetchRejectsInvalidIds) {
-  SimulatedDisk disk;
+  storage::SimulatedDisk disk;
   disk.Store(Series{1.0, 2.0, 3.0});
   for (int id : {-1, 1, 1000}) {
     auto fetched = disk.TryFetch(id);

@@ -665,13 +665,33 @@ std::vector<Finding> CheckRawFileMutation(
   return findings;
 }
 
+std::vector<Finding> CheckDynamicCast(const std::vector<SourceFile>& files) {
+  std::vector<Finding> findings;
+  static const std::regex kToken(R"(\bdynamic_cast\b)");
+  for (const SourceFile& file : files) {
+    if (!StartsWith(file.path, "src/")) continue;
+    const std::string code = StripCommentsAndStrings(file.content);
+    for (auto it = std::sregex_iterator(code.begin(), code.end(), kToken);
+         it != std::sregex_iterator(); ++it) {
+      findings.push_back(
+          {"dynamic-cast", file.path,
+           LineOfOffset(code, static_cast<std::size_t>(it->position())),
+           "dynamic_cast in src/: add a capability query to the interface "
+           "that returns null by default (see "
+           "StorageBackend::resident_tiles) instead of probing the concrete "
+           "type — a type probe sees through decorators"});
+    }
+  }
+  return findings;
+}
+
 std::vector<Finding> RunAllChecks(const std::vector<SourceFile>& files) {
   std::vector<Finding> findings;
   for (auto* check :
        {CheckLayering, CheckNodiscard, CheckUncheckedValue,
         CheckKernelHygiene, CheckIntrinsicsOutsideSimd, CheckTestRegistration,
         CheckNolintReasons, CheckSyncPrimitives, CheckGuardedMembers,
-        CheckAtomicAllowlist, CheckRawFileMutation}) {
+        CheckAtomicAllowlist, CheckRawFileMutation, CheckDynamicCast}) {
     std::vector<Finding> f = check(files);
     findings.insert(findings.end(), std::make_move_iterator(f.begin()),
                     std::make_move_iterator(f.end()));

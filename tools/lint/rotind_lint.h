@@ -124,6 +124,13 @@ struct Finding {
 [[nodiscard]] std::vector<Finding> CheckRawFileMutation(
     const std::vector<SourceFile>& files);
 
+/// Rule 7: no `dynamic_cast` in src/. A capability is a virtual query on
+/// the interface, null by default (StorageBackend::resident_tiles): a
+/// decorator can decline to forward it, while a concrete-type probe sees
+/// through decorators and couples callers to class names.
+[[nodiscard]] std::vector<Finding> CheckDynamicCast(
+    const std::vector<SourceFile>& files);
+
 /// All rules, findings ordered by (file, line).
 [[nodiscard]] std::vector<Finding> RunAllChecks(
     const std::vector<SourceFile>& files);

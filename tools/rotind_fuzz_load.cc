@@ -36,7 +36,6 @@
 #include "src/io/bytes.h"
 #include "src/io/serialize.h"
 #include "src/search/engine.h"
-#include "src/search/scan.h"
 #include "src/serve/protocol.h"
 #include "src/storage/backend.h"
 #include "src/storage/index_file.h"
@@ -61,18 +60,16 @@ void ExerciseParsers(const std::uint8_t* data, std::size_t size) {
         ds.size() > 64) {
       continue;  // keep the search step cheap under fuzzing
     }
-    ScanOptions options;
-    (void)SearchDatabaseChecked(ds.items, ds.items[0], ScanAlgorithm::kWedge,
-                                options);
-
-    // Engine-level round trip: the same parsed items through the flat
-    // storage layout and the full pruning cascade (fft + wedge, 1-NN).
-    // In contract-enabled builds this also walks the parsed data past
-    // every ROTIND_CONTRACT invariant (L <= U, wedge nesting, LB <=
-    // exact), so a loader bug that produces a structurally broken dataset
-    // aborts here instead of returning a quietly wrong neighbor.
+    // Engine-level round trip: the parsed items through the flat storage
+    // layout, then 1-NN with the default wedge cascade and with the full
+    // pruning cascade (fft + wedge). In contract-enabled builds this also
+    // walks the parsed data past every ROTIND_CONTRACT invariant (L <= U,
+    // wedge nesting, LB <= exact), so a loader bug that produces a
+    // structurally broken dataset aborts here instead of returning a
+    // quietly wrong neighbor.
     StatusOr<FlatDataset> flat = FlatDataset::FromItemsChecked(ds.items);
     if (!flat.ok()) continue;
+    (void)QueryEngine(*flat).SearchChecked(ds.items[0]);
     EngineOptions engine_options;
     engine_options.cascade.stages = {StageKind::kFftMagnitude,
                                      StageKind::kWedge};
