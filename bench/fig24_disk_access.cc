@@ -4,17 +4,22 @@
 /// Heterogeneous databases, under both Euclidean distance (VP-tree over
 /// FFT-magnitude signatures, paper Table 7) and DTW (PAA candidate scan,
 /// see DESIGN.md substitutions) — and extends it across storage backends:
-/// every configuration runs once against the paper-parity SimulatedBackend
-/// (in-memory data, counted page touches) and once against a real paged
-/// RIDX file behind a BufferPool (built with BuildIndexFile, opened with
-/// OpenFromFile). Both backends must return bit-identical neighbors; the
+/// every configuration runs the engine cascade {index, wedge} once against
+/// the paper-parity SimulatedBackend (in-memory data, counted page
+/// touches) and once against a real paged RIDX file behind a BufferPool
+/// (built with BuildIndexFile, whose resident FFT/PAA sections become the
+/// index rows). Both backends must return bit-identical neighbors; the
 /// bench exits nonzero if they ever disagree.
 ///
-///   fig24_disk_access [BENCH_storage.json]
+///   fig24_disk_access [BENCH_storage.json] [--check baseline.json]
+///                     [--tolerance FRAC]
 ///
 /// The JSON records, per workload x D x measure: object fetches, page
 /// reads, pool hit rate, eviction and byte counts, and wall time for each
-/// backend — the numbers CI archives next to BENCH_scan.json.
+/// backend — the numbers CI archives next to BENCH_scan.json. --check
+/// compares every object_fetches and page_reads count (and the query
+/// counts) against a committed baseline, as engine_scan_bench does, and
+/// exits nonzero on drift beyond --tolerance (default 0 = exact).
 ///
 /// Expected shape: small fetch fractions (the paper shows <= ~12%),
 /// decreasing as D grows, with DTW retrieving somewhat more than
@@ -29,8 +34,9 @@
 
 #include "bench/bench_common.h"
 #include "src/datasets/synthetic.h"
-#include "src/index/candidate_scan.h"
 #include "src/index/index_io.h"
+#include "src/obs/metrics.h"
+#include "src/search/engine.h"
 #include "src/storage/backend.h"
 
 namespace rotind::bench {
@@ -80,15 +86,18 @@ struct BackendRun {
   std::vector<double> best_distance;
 };
 
-BackendRun RunQueries(RotationInvariantIndex& index,
+BackendRun RunQueries(const QueryEngine& engine,
                       const std::vector<Series>& queries) {
   BackendRun run;
   const auto t0 = Clock::now();
   for (const Series& q : queries) {
-    const auto r = index.NearestNeighbor(q);
-    run.object_fetches += r.object_fetches;
-    run.page_reads += r.page_reads;
-    run.fetch_fraction_sum += r.fetch_fraction;
+    obs::QueryMetrics metrics;
+    const ScanResult r = engine.Search(q, &metrics);
+    run.object_fetches += metrics.index.object_fetches;
+    run.page_reads += metrics.index.page_reads;
+    run.fetch_fraction_sum +=
+        static_cast<double>(metrics.index.object_fetches) /
+        static_cast<double>(engine.database_size());
     run.best_index.push_back(r.best_index);
     run.best_distance.push_back(r.best_distance);
   }
@@ -116,7 +125,8 @@ double PoolHitRate(const storage::PoolCounters& c) {
 }
 
 int Run(int argc, char** argv) {
-  const std::string out_path = argc > 1 ? argv[1] : "BENCH_storage.json";
+  const CheckArgs args = ParseCheckArgs(argc, argv, "BENCH_storage.json");
+  const std::string& out_path = args.out_path;
   const bool full = FullScale();
   const std::size_t num_queries = full ? 50 : 10;
   const std::vector<std::size_t> dims_list = {4, 8, 16, 32};
@@ -153,6 +163,7 @@ int Run(int argc, char** argv) {
     const std::string index_path = out_path + ".ridx";
     Dataset dataset;
     dataset.items = w.db;
+    const FlatDataset flat = FlatDataset::FromItems(w.db);
     for (std::size_t dims : dims_list) {
       // One RIDX file per (workload, D): it carries both signature
       // families, so the Euclidean and DTW file runs share it.
@@ -171,10 +182,12 @@ int Run(int argc, char** argv) {
       std::vector<double> table_fractions;
       for (const DistanceKind kind :
            {DistanceKind::kEuclidean, DistanceKind::kDtw}) {
-        RotationInvariantIndex::Options options;
-        options.dims = dims;
+        EngineOptions options;
         options.kind = kind;
         options.band = w.band;
+        options.cascade.stages = {StageKind::kSignatureIndex,
+                                  StageKind::kWedge};
+        options.index_dims = dims;
 
         StorageRow row;
         row.workload = w.name;
@@ -182,21 +195,25 @@ int Run(int argc, char** argv) {
         row.dims = dims;
         row.queries = noisy.size();
         {
-          RotationInvariantIndex index(w.db, options);
-          row.simulated = RunQueries(index, noisy);
+          EngineOptions simulated = options;
+          simulated.storage.backend = storage::BackendKind::kSimulated;
+          row.simulated = RunQueries(QueryEngine(flat, simulated), noisy);
         }
         {
-          auto opened = RotationInvariantIndex::OpenFromFile(
-              index_path, options, kPoolPages);
+          EngineOptions file = options;
+          file.storage.backend = storage::BackendKind::kFile;
+          file.storage.index_path = index_path;
+          file.storage.pool_pages = kPoolPages;
+          auto opened = QueryEngine::Open(file);
           if (!opened.ok()) {
             std::fprintf(stderr, "index open failed: %s\n",
                          opened.status().message().c_str());
             return 1;
           }
           row.file = RunQueries(**opened, noisy);
-          row.pool = static_cast<const storage::FileBackend&>(
+          row.pool = static_cast<const storage::FileBackend*>(
                          (*opened)->backend())
-                         .pool()
+                         ->pool()
                          .counters();
         }
         row.identical =
@@ -276,7 +293,11 @@ int Run(int argc, char** argv) {
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
-  return all_identical ? 0 : 1;
+  if (!all_identical) return 1;
+  return args.baseline_path.empty()
+             ? 0
+             : CheckAgainstBaseline(out_path, args.baseline_path,
+                                    args.tolerance);
 }
 
 }  // namespace

@@ -52,23 +52,6 @@ void SquaredEuclideanBlock(const double* q, const double* tile, std::size_t n,
   AddSteps(counter, valid * n);
 }
 
-void EarlyAbandonSquaredEuclideanBlock(const double* q, const double* tile,
-                                       std::size_t n, std::size_t valid,
-                                       const double* sq_limits, double* out_sq,
-                                       StepCounter* counter) {
-  std::uint64_t lane_steps[simd::kBlockLanes];
-  unsigned abandoned = 0;
-  simd::Kernels().ed_block_ea(q, tile, n, sq_limits, out_sq, lane_steps,
-                              &abandoned);
-  if (counter != nullptr) {
-    counter->full_evals += valid;
-    for (std::size_t l = 0; l < valid; ++l) {
-      counter->steps += lane_steps[l];
-      if ((abandoned >> l) & 1u) ++counter->early_abandons;
-    }
-  }
-}
-
 double EarlyAbandonEuclidean(const double* q, const double* c, std::size_t n,
                              double limit, StepCounter* counter) {
   const double squared_limit =

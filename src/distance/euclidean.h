@@ -49,16 +49,6 @@ void SquaredEuclideanBlock(const double* q, const double* tile, std::size_t n,
                            std::size_t valid, double* out_sq,
                            StepCounter* counter = nullptr);
 
-/// Early-abandoning blocked squared ED with per-lane limits: lane l yields
-/// kAbandoned as soon as its running sum exceeds sq_limits[l], else its
-/// exact squared sum. Charges, per valid lane, one full_eval plus steps for
-/// the points that lane examined, and one early_abandon per abandoned valid
-/// lane — exactly the scalar EarlyAbandonSquaredEuclidean accounting.
-void EarlyAbandonSquaredEuclideanBlock(const double* q, const double* tile,
-                                       std::size_t n, std::size_t valid,
-                                       const double* sq_limits, double* out_sq,
-                                       StepCounter* counter = nullptr);
-
 }  // namespace rotind
 
 #endif  // ROTIND_DISTANCE_EUCLIDEAN_H_

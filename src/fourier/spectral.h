@@ -53,7 +53,7 @@ StatusOr<SpectralSignature> MakeSpectralSignatureChecked(const Series& s,
                                                          std::size_t dims);
 
 /// L2 distance between signatures; a lower bound on RED(Q, C) and, for DTW
-/// callers, NOT a bound (see index/candidate_scan.h for the DTW path).
+/// callers, NOT a bound (see search/signature_index.h for the DTW path).
 /// Charges `dims` steps.
 ///
 /// Signatures of differing dimensionality are incomparable; passing them is

@@ -60,7 +60,6 @@ const char* StageName(StageId id) {
     case StageId::kFullScanBanded: return "full_scan_banded";
     case StageId::kSignatureFilter: return "signature_filter";
     case StageId::kDiskFetch: return "disk_fetch";
-    case StageId::kRefine: return "refine";
     case StageId::kLbImproved: return "lb_improved";
     case StageId::kVecSignature: return "vec_signature";
   }

@@ -32,24 +32,21 @@ namespace rotind::obs {
 /// equals the legacy `StepCounter::total_steps()` for the same query
 /// (asserted by tests/obs_engine_test.cc over the equivalence corpus).
 
-/// Identity of one attribution bucket along the query path. The first five
-/// mirror the engine's original cascade StageKinds, the next three belong
-/// to the disk-backed RotationInvariantIndex, and the trailing two are the
-/// cascade filter stages added later (appended so the numeric ids of
-/// every earlier stage — and therefore old JSON baselines — are stable).
+/// Identity of one attribution bucket along the query path. The JSON
+/// names them (StageName) and lists used stages in this order; the order
+/// follows the stages' history, not the query path.
 enum class StageId {
   kFftFilter = 0,      ///< cascade: FFT-magnitude lower-bound filter
   kWedge,              ///< cascade terminal: LB_Keogh wedges + H-Merge
   kExactScan,          ///< cascade terminal: early-abandoning rotation scan
   kFullScan,           ///< cascade terminal: full evaluation, no abandoning
   kFullScanBanded,     ///< cascade terminal: full evaluation, Sakoe-Chiba band
-  kSignatureFilter,    ///< index: signature-space lower-bound pruning
-  kDiskFetch,          ///< index: object fetches from the simulated disk
-  kRefine,             ///< index: H-Merge refinement of fetched objects
+  kSignatureFilter,    ///< cascade source: signature-index ordering/pruning
+  kDiskFetch,          ///< candidate fetches from a simulated or file backend
   kLbImproved,         ///< cascade: two-pass LB_Improved wedge filter
   kVecSignature,       ///< cascade: pooled rotation-invariant vector filter
 };
-inline constexpr std::size_t kNumStages = 10;
+inline constexpr std::size_t kNumStages = 9;
 
 /// Stable machine-readable name ("fft_filter", "wedge", ...).
 const char* StageName(StageId id);
@@ -158,9 +155,10 @@ struct WedgeStats {
   WedgeStats& operator+=(const WedgeStats& o);
 };
 
-/// Disk-index accounting (RotationInvariantIndex): what was pruned in
-/// signature space versus fetched and refined (paper Section 5.4 /
-/// Figure 24).
+/// Signature-index accounting (the kSignatureIndex cascade stage): what
+/// was pruned in signature space versus fetched and refined (paper Section
+/// 5.4 / Figure 24). object_fetches and page_reads are filled for every
+/// query over a simulated or file backend, with or without the stage.
 struct IndexStats {
   /// Signature-space lower-bound evaluations (VP-tree metric calls or
   /// LB_PAA evaluations).
@@ -170,7 +168,7 @@ struct IndexStats {
   std::uint64_t candidates_pruned = 0;
   std::uint64_t object_fetches = 0;
   std::uint64_t page_reads = 0;
-  /// Fetched objects pushed through H-Merge refinement.
+  /// Candidates the index visited, i.e. handed to the rest of the cascade.
   std::uint64_t refinements = 0;
 
   IndexStats& operator+=(const IndexStats& o);

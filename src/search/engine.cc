@@ -8,6 +8,7 @@
 #include <exception>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <thread>
 #include <utility>
@@ -18,6 +19,7 @@
 #include "src/envelope/lower_bound.h"
 #include "src/fourier/spectral.h"
 #include "src/search/lcss_search.h"
+#include "src/search/signature_index.h"
 #include "src/simd/simd.h"
 
 namespace rotind {
@@ -31,13 +33,15 @@ static_assert(FlatDataset::kTileLanes == simd::kBlockLanes,
               "SoA tile width must match the simd kernel lane width");
 
 bool IsTerminal(StageKind kind) {
-  return kind != StageKind::kFftMagnitude &&
+  return kind != StageKind::kSignatureIndex &&
+         kind != StageKind::kFftMagnitude &&
          kind != StageKind::kVecSignature && kind != StageKind::kLbImproved;
 }
 
 /// Observability bucket for each cascade stage.
 obs::StageId StageIdFor(StageKind kind) {
   switch (kind) {
+    case StageKind::kSignatureIndex: return obs::StageId::kSignatureFilter;
     case StageKind::kFftMagnitude: return obs::StageId::kFftFilter;
     case StageKind::kVecSignature: return obs::StageId::kVecSignature;
     case StageKind::kLbImproved: return obs::StageId::kLbImproved;
@@ -204,26 +208,26 @@ class TerminalStage {
     (void)counter;
   }
 
-  /// Whether this terminal can score a whole SoA tile group at once under
-  /// the given driver options. Default: per-candidate only.
-  virtual bool SupportsBlocked(const SimdOptions& simd) const {
-    (void)simd;
-    return false;
-  }
+  /// Whether this terminal can score a whole SoA tile group at once.
+  /// Default: per-candidate only.
+  virtual bool SupportsBlocked() const { return false; }
   /// Scores the first `valid` lanes of one tile (FlatDataset::tile).
-  /// out[l].distance must be the lane's exact distance (or kAbandoned for
-  /// an early-abandoned lane) with shift/mirrored resolved; out[l].found is
-  /// left false — the DRIVER resolves it against the live threshold so the
-  /// stats attribution matches the per-candidate path exactly.
+  /// out[l].distance must be the lane's exact distance with shift/mirrored
+  /// resolved; out[l].found is left false — the DRIVER resolves it against
+  /// the live threshold so the stats attribution matches the per-candidate
+  /// path exactly.
   virtual void EvaluateBlock(const double* tile, std::size_t valid,
-                             double threshold, CandidateMatch* out,
-                             StepCounter* counter) {
+                             CandidateMatch* out, StepCounter* counter) {
     (void)tile;
     (void)valid;
-    (void)threshold;
     (void)out;
     (void)counter;
   }
+
+  /// The query's wedge tree when this terminal built one (kWedge under
+  /// ED/DTW), so the signature index can reuse it instead of building a
+  /// second; null otherwise.
+  virtual const WedgeTree* wedge_tree() const { return nullptr; }
 };
 
 /// LB_Keogh wedge H-Merge for ED/DTW (the paper's contribution).
@@ -262,6 +266,8 @@ class WedgeTerminal final : public TerminalStage {
                       StepCounter* counter) override {
     searcher_.AdaptK(trigger, best, counter, wedge_stats_);
   }
+
+  const WedgeTree* wedge_tree() const override { return &searcher_.tree(); }
 
  private:
   obs::WedgeStats* wedge_stats_;
@@ -391,56 +397,39 @@ class ScanTerminal final : public TerminalStage {
     return out;
   }
 
-  bool SupportsBlocked(const SimdOptions& simd) const override {
-    if (kind_ != DistanceKind::kEuclidean) return false;
-    return mode_ == Mode::kEarlyAbandon ? simd.blocked_early_abandon
-                                        : simd.blocked_full_scan;
+  bool SupportsBlocked() const override {
+    return kind_ == DistanceKind::kEuclidean && mode_ != Mode::kEarlyAbandon;
   }
 
-  // Blocked ED over one SoA tile, per-lane identical to the scalar
-  // rotation drivers in src/distance/rotation.cc: each lane tracks its own
-  // best SQUARED distance across rotations (strict <, first rotation wins
-  // ties) and takes one sqrt at the end. Vectorizing across candidates
-  // instead of within one keeps every lane's accumulation chain in scalar
-  // order, so distances — and therefore answers — are bit-identical.
-  void EvaluateBlock(const double* tile, std::size_t valid, double threshold,
+  // Blocked full-scan ED over one SoA tile, per-lane identical to
+  // RotationInvariantEuclidean: each lane tracks its own best SQUARED
+  // distance across rotations (strict <, first rotation wins ties) and
+  // takes one sqrt at the end. Vectorizing across candidates instead of
+  // within one keeps every lane's accumulation chain in scalar order, so
+  // distances — and therefore answers and step counts — are bit-identical.
+  void EvaluateBlock(const double* tile, std::size_t valid,
                      CandidateMatch* out, StepCounter* counter) override {
     const std::size_t n = rotations_.length();
     double sq_best[simd::kBlockLanes];
     std::size_t best_r[simd::kBlockLanes];
-    bool lane_found[simd::kBlockLanes];
     double out_sq[simd::kBlockLanes];
-    const bool ea = mode_ == Mode::kEarlyAbandon;
-    const double sq_threshold =
-        std::isinf(threshold) ? kInf : threshold * threshold;
     for (std::size_t l = 0; l < simd::kBlockLanes; ++l) {
-      sq_best[l] = ea ? sq_threshold : kInf;
+      sq_best[l] = kInf;
       best_r[l] = 0;
-      lane_found[l] = false;
     }
     for (std::size_t r = 0; r < rotations_.count(); ++r) {
-      const double* rot = rotations_.rotation(r);
-      if (ea) {
-        // Per-lane limits tighten as the lane's own best improves —
-        // exactly EarlyAbandonRotationEuclidean with this tile group's
-        // entry threshold as best-so-far.
-        EarlyAbandonSquaredEuclideanBlock(rot, tile, n, valid, sq_best,
-                                          out_sq, counter);
-      } else {
-        SquaredEuclideanBlock(rot, tile, n, valid, out_sq, counter);
-        if (counter != nullptr) counter->full_evals += valid;
-      }
+      SquaredEuclideanBlock(rotations_.rotation(r), tile, n, valid, out_sq,
+                            counter);
+      if (counter != nullptr) counter->full_evals += valid;
       for (std::size_t l = 0; l < simd::kBlockLanes; ++l) {
         if (out_sq[l] < sq_best[l]) {
           sq_best[l] = out_sq[l];
           best_r[l] = r;
-          lane_found[l] = true;
         }
       }
     }
     for (std::size_t l = 0; l < simd::kBlockLanes; ++l) {
       out[l] = CandidateMatch{};
-      if (ea && !lane_found[l]) continue;  // distance stays kAbandoned/kInf
       out[l].distance = std::sqrt(sq_best[l]);
       out[l].shift = rotations_.shift_of(best_r[l]);
       out[l].mirrored = rotations_.mirrored_of(best_r[l]);
@@ -529,6 +518,7 @@ class QueryCascade {
             terminal_ = std::make_unique<ScanTerminal>(
                 query, options, ScanTerminal::Mode::kFullBanded);
             break;
+          case StageKind::kSignatureIndex:
           case StageKind::kFftMagnitude:
           case StageKind::kVecSignature:
           case StageKind::kLbImproved:
@@ -557,7 +547,7 @@ class QueryCascade {
           break;
         }
         default:
-          break;  // terminals handled above
+          break;  // terminals handled above; the index drives the visit
       }
     }
     assert(terminal_ != nullptr && "cascade must be normalized");
@@ -600,8 +590,8 @@ class QueryCascade {
 
   /// Whether the whole cascade can score SoA tile groups: no filter stages
   /// (a blocked pass would bypass them) and a terminal that opted in.
-  bool SupportsBlocked(const SimdOptions& simd) const {
-    return filters_.empty() && terminal_->SupportsBlocked(simd);
+  bool SupportsBlocked() const {
+    return filters_.empty() && terminal_->SupportsBlocked();
   }
 
   /// Blocked counterpart of Compare for one tile group. Cancellation is
@@ -610,11 +600,11 @@ class QueryCascade {
   /// step deltas land on the terminal stage here, and the DRIVER calls
   /// RecordTerminalOutcome per lane once it resolves found against the
   /// live threshold — summing to exactly the per-candidate totals.
-  void CompareBlock(const double* tile, std::size_t valid, double threshold,
+  void CompareBlock(const double* tile, std::size_t valid,
                     CandidateMatch* out, StepCounter* counter) {
     if (CheckCancelBoundary()) return;
     StageScope scope(StatsFor(terminal_id_), counter);
-    terminal_->EvaluateBlock(tile, valid, threshold, out, counter);
+    terminal_->EvaluateBlock(tile, valid, out, counter);
   }
 
   /// Candidate-flow bookkeeping for one blocked-scored lane.
@@ -635,6 +625,8 @@ class QueryCascade {
     StageScope scope(StatsFor(terminal_id_), counter);
     terminal_->NotifyImproved(trigger, best, counter);
   }
+
+  const WedgeTree* wedge_tree() const { return terminal_->wedge_tree(); }
 
  private:
   obs::StageStats* StatsFor(obs::StageId id) {
@@ -683,32 +675,39 @@ void FoldFetchIo(const storage::FetchStats& io, obs::StageStats* fetch_stats,
   }
 }
 
-/// The one generic driver behind 1-NN, k-NN, and range search. `Fetch`
-/// maps a database index to a storage::SeriesHandle (fetched exactly once
-/// per candidate and held alive across the cascade pass plus the improve
-/// hook); `Collector` supplies the pruning threshold and absorbs accepted
-/// matches:
+/// One candidate through the cascade, shared by every driver. `Fetch` maps
+/// a database index to a storage::SeriesHandle (fetched exactly once and
+/// held alive across the cascade pass plus the improve hook); `Collector`
+/// supplies the pruning threshold and absorbs accepted matches:
 ///   double threshold() const;
 ///   bool Offer(std::size_t index, const CandidateMatch&);  // true -> improved
+/// Returns false once a cancellation token has fired: the scan must stop,
+/// leaving whatever partial state the collector holds for the caller to
+/// DISCARD (the Checked entry points return the typed cancel Status).
+template <typename Fetch, typename Collector>
+bool VisitCandidate(std::size_t i, const Fetch& fetch, QueryCascade& cascade,
+                    Collector& collector, StepCounter* counter) {
+  const storage::SeriesHandle h = fetch(i);
+  // An invalid handle means a storage I/O failure; the backend has latched
+  // the Status (surfaced by the Checked entry points).
+  if (!h.valid()) return true;
+  const CandidateMatch m =
+      cascade.Compare(i, h.data(), collector.threshold(), counter);
+  if (cascade.cancelled()) return false;
+  if (m.found && collector.Offer(i, m)) {
+    cascade.NotifyImproved(h.data(), collector.threshold(), counter);
+  }
+  return true;
+}
+
+/// The plain driver: every candidate, in database order.
 template <typename Fetch, typename Collector>
 void RunScan(std::size_t db_size, const Fetch& fetch, std::size_t holdout,
              QueryCascade& cascade, Collector& collector,
              StepCounter* counter) {
   for (std::size_t i = 0; i < db_size; ++i) {
     if (i == holdout) continue;
-    const storage::SeriesHandle h = fetch(i);
-    // An invalid handle means a storage I/O failure; the backend has
-    // latched the Status (surfaced by the Checked entry points).
-    if (!h.valid()) continue;
-    const CandidateMatch m =
-        cascade.Compare(i, h.data(), collector.threshold(), counter);
-    // A fired cancellation token voids the whole scan: stop immediately,
-    // leaving whatever partial state the collector holds for the caller to
-    // DISCARD (the Checked entry points return the typed cancel Status).
-    if (cascade.cancelled()) return;
-    if (m.found && collector.Offer(i, m)) {
-      cascade.NotifyImproved(h.data(), collector.threshold(), counter);
-    }
+    if (!VisitCandidate(i, fetch, cascade, collector, counter)) return;
   }
 }
 
@@ -717,14 +716,16 @@ void RunScan(std::size_t db_size, const Fetch& fetch, std::size_t holdout,
 /// FlatDataset (fetches are free borrows there, so skipping them is
 /// observationally identical) and the cascade opted in. Lane outcomes are
 /// resolved against the LIVE collector threshold in candidate order, so
-/// answers, counters, and per-stage stats match RunScan exactly for the
-/// full-scan terminals (see SimdOptions for the early-abandon caveat).
+/// answers, counters, and per-stage stats match RunScan exactly.
 template <typename Collector>
 void RunBlockedScan(const FlatDataset& flat, std::size_t holdout,
                     QueryCascade& cascade, Collector& collector,
                     StepCounter* counter) {
   constexpr std::size_t kLanes = FlatDataset::kTileLanes;
   const std::size_t db_size = flat.size();
+  const auto borrow = [&](std::size_t i) {
+    return storage::SeriesHandle::Borrowed(flat.data(i), flat.length());
+  };
   for (std::size_t g = 0; g < flat.tile_groups(); ++g) {
     const std::size_t base = g * kLanes;
     const std::size_t valid = std::min(kLanes, db_size - base);
@@ -734,19 +735,12 @@ void RunBlockedScan(const FlatDataset& flat, std::size_t holdout,
       // semantics) rather than teaching the kernels about gaps.
       for (std::size_t i = base; i < base + valid; ++i) {
         if (i == holdout) continue;
-        const CandidateMatch m =
-            cascade.Compare(i, flat.data(i), collector.threshold(), counter);
-        if (cascade.cancelled()) return;
-        if (m.found && collector.Offer(i, m)) {
-          cascade.NotifyImproved(flat.data(i), collector.threshold(),
-                                 counter);
-        }
+        if (!VisitCandidate(i, borrow, cascade, collector, counter)) return;
       }
       continue;
     }
     CandidateMatch block[kLanes];
-    cascade.CompareBlock(flat.tile(g), valid, collector.threshold(), block,
-                         counter);
+    cascade.CompareBlock(flat.tile(g), valid, block, counter);
     if (cascade.cancelled()) return;
     for (std::size_t l = 0; l < valid; ++l) {
       CandidateMatch m = block[l];
@@ -760,6 +754,81 @@ void RunBlockedScan(const FlatDataset& flat, std::size_t holdout,
                                counter);
       }
     }
+  }
+}
+
+/// Band of the wedge tree whose envelopes bound DTW candidates for the
+/// signature index: the terminal's band (at least 1, as WedgeSearcher
+/// builds it), or the full width for a negative (unconstrained) band —
+/// an envelope widened by a larger band lower-bounds every narrower one.
+int IndexTreeBand(int band, std::size_t n) {
+  return std::max(1, band < 0 ? static_cast<int>(n) - 1 : band);
+}
+
+/// Index-ordered driver (the kSignatureIndex stage): the index decides
+/// which candidates are visited and in what order, and every visited
+/// candidate runs the rest of the cascade exactly as under RunScan.
+/// Attribution: the query-side signature setup (and, under DTW, a wedge
+/// tree the terminal did not already build) plus every signature bound
+/// land on kSignatureFilter, whose candidate flow is entered = candidates
+/// in the scan, survived = visited; the visits' own fetch and cascade work
+/// land on their own stages. The signature work is tallied on a private
+/// counter while the visits charge the query's, so both sum exactly.
+template <typename Fetch, typename Collector>
+void RunIndexedScan(const SignatureIndex& index, const Series& query,
+                    const EngineOptions& options, std::size_t db_size,
+                    const Fetch& fetch, std::size_t holdout,
+                    QueryCascade& cascade, Collector& collector,
+                    StepCounter* counter, obs::QueryMetrics* metrics) {
+  obs::StageStats* stats =
+      metrics != nullptr ? &metrics->stage(obs::StageId::kSignatureFilter)
+                         : nullptr;
+  const auto t0 = std::chrono::steady_clock::now();
+  StepCounter own;
+  std::optional<WedgeTree> own_tree;
+  const WedgeTree* tree = nullptr;
+  if (options.kind == DistanceKind::kDtw) {
+    const int band = IndexTreeBand(options.band, query.size());
+    tree = cascade.wedge_tree();
+    if (tree == nullptr || tree->dtw_band() != band) {
+      own_tree.emplace(query, options.rotation, band, options.wedge.linkage,
+                       options.wedge.hierarchy, &own);
+      tree = &*own_tree;
+    }
+  }
+  std::uint64_t visited = 0;
+  std::uint64_t visit_nanos = 0;
+  const auto threshold = [&] { return collector.threshold(); };
+  const auto visit = [&](int id) {
+    const auto i = static_cast<std::size_t>(id);
+    if (i == holdout) return true;
+    ++visited;
+    if (stats == nullptr) {
+      return VisitCandidate(i, fetch, cascade, collector, counter);
+    }
+    const auto v0 = std::chrono::steady_clock::now();
+    const bool go = VisitCandidate(i, fetch, cascade, collector, counter);
+    visit_nanos += obs::NanosSince(v0);
+    return go;
+  };
+  const std::uint64_t evals = index.Visit(query, tree, threshold, visit, &own);
+  *counter += own;
+  const std::uint64_t scanned = db_size - (holdout < db_size ? 1 : 0);
+  if (stats != nullptr) {
+    const std::uint64_t wall = obs::NanosSince(t0);
+    stats->used = true;
+    stats->steps += own.steps;
+    stats->setup_steps += own.setup_steps;
+    stats->early_abandons += own.early_abandons;
+    stats->wall_nanos += wall - std::min(wall, visit_nanos);
+    stats->candidates_entered += scanned;
+    stats->candidates_survived += visited;
+    stats->candidates_pruned += scanned - visited;
+  }
+  if (metrics != nullptr) {
+    metrics->index.signature_evals += evals;
+    metrics->index.candidates_pruned += scanned - visited;
+    metrics->index.refinements += visited;
   }
 }
 
@@ -927,14 +996,17 @@ storage::SignatureRows StoredVecSigsFor(const storage::StorageBackend& backend,
 }
 
 /// The one driver behind every query kind and entry point: compiles the
-/// per-query cascade, scans the backend's resident tiles with the blocked
-/// driver when both the backend and the cascade allow it (per-candidate
-/// fetches otherwise), and folds the query's fetch I/O into the metrics.
-/// The collector decides what kind of query this is.
+/// per-query cascade, then visits candidates in signature-index order when
+/// the engine has an index, scans the backend's resident tiles with the
+/// blocked driver when both the backend and the cascade allow it, and
+/// fetches candidate by candidate otherwise; finally folds the query's
+/// fetch I/O into the metrics. The collector decides what kind of query
+/// this is.
 template <typename Collector>
 void RunQuery(const storage::StorageBackend& backend,
-              const EngineOptions& options, const Series& query,
-              Collector& collector, StepCounter* counter, ScanCall& call) {
+              const EngineOptions& options, const SignatureIndex* index,
+              const Series& query, Collector& collector, StepCounter* counter,
+              ScanCall& call) {
   const QueryLatencyScope latency(call.metrics);
   QueryCascade cascade(query, options, counter, call.metrics, call.cancel,
                        StoredVecSigsFor(backend, query.size()));
@@ -948,22 +1020,23 @@ void RunQuery(const storage::StorageBackend& backend,
       call.metrics != nullptr && does_io
           ? &call.metrics->stage(obs::StageId::kDiskFetch)
           : nullptr;
+  const auto fetch = [&](std::size_t i) {
+    const StageScope scope(fetch_stats, counter);
+    storage::SeriesHandle h = backend.Fetch(i, &fetch_io);
+    if (!h.valid()) call.fetch_failed = true;
+    return h;
+  };
   const FlatDataset* tiles = backend.resident_tiles();
   const auto drive = [&](auto& c) {
-    if (tiles != nullptr && tiles->length() == query.size() &&
-        cascade.SupportsBlocked(options.simd)) {
+    if (index != nullptr && query.size() == backend.length()) {
+      RunIndexedScan(*index, query, options, backend.size(), fetch,
+                     call.holdout, cascade, c, counter, call.metrics);
+    } else if (tiles != nullptr && tiles->length() == query.size() &&
+               cascade.SupportsBlocked()) {
       RunBlockedScan(*tiles, call.holdout, cascade, c, counter);
-      return;
+    } else {
+      RunScan(backend.size(), fetch, call.holdout, cascade, c, counter);
     }
-    RunScan(
-        backend.size(),
-        [&](std::size_t i) {
-          const StageScope scope(fetch_stats, counter);
-          storage::SeriesHandle h = backend.Fetch(i, &fetch_io);
-          if (!h.valid()) call.fetch_failed = true;
-          return h;
-        },
-        call.holdout, cascade, c, counter);
   };
   if (call.shared != nullptr) {
     SharedBoundCollector<Collector> wrapped(collector, call.shared);
@@ -976,33 +1049,34 @@ void RunQuery(const storage::StorageBackend& backend,
 }
 
 ScanResult BestScan(const storage::StorageBackend& backend,
-                    const EngineOptions& options, const Series& query,
-                    ScanCall& call) {
+                    const EngineOptions& options, const SignatureIndex* index,
+                    const Series& query, ScanCall& call) {
   ScanResult result;
   result.best_distance = kInf;
   BestCollector collector(&result);
-  RunQuery(backend, options, query, collector, &result.counter, call);
+  RunQuery(backend, options, index, query, collector, &result.counter, call);
   return result;
 }
 
 std::vector<Neighbor> KnnScan(const storage::StorageBackend& backend,
                               const EngineOptions& options,
-                              const Series& query, int k,
-                              StepCounter* counter, ScanCall& call) {
+                              const SignatureIndex* index, const Series& query,
+                              int k, StepCounter* counter, ScanCall& call) {
   StepCounter local;
   KnnCollector collector(k);
-  RunQuery(backend, options, query, collector,
+  RunQuery(backend, options, index, query, collector,
            counter != nullptr ? counter : &local, call);
   return collector.Take();
 }
 
 std::vector<Neighbor> RangeScan(const storage::StorageBackend& backend,
                                 const EngineOptions& options,
+                                const SignatureIndex* index,
                                 const Series& query, double radius,
                                 StepCounter* counter, ScanCall& call) {
   StepCounter local;
   RangeCollector collector(radius);
-  RunQuery(backend, options, query, collector,
+  RunQuery(backend, options, index, query, collector,
            counter != nullptr ? counter : &local, call);
   return collector.Take();
 }
@@ -1065,6 +1139,38 @@ std::vector<Result> RunBatch(const std::vector<Series>& queries,
   return results;
 }
 
+/// Whether the signature index the (normalized) cascade asks for fits the
+/// database: OK without a kSignatureIndex stage or over an empty database.
+Status IndexDimsStatus(const storage::StorageBackend& backend,
+                       const EngineOptions& options) {
+  if (options.cascade.stages.front() != StageKind::kSignatureIndex ||
+      backend.size() == 0) {
+    return Status::Ok();
+  }
+  return SignatureIndex::ValidateDims(
+      options.kind,
+      SignatureIndex::EffectiveDims(backend, options.kind,
+                                    options.index_dims),
+      backend.length());
+}
+
+/// The engine's signature index, built once (null without the stage).
+std::shared_ptr<const SignatureIndex> BuildIndex(
+    const storage::StorageBackend& backend, const EngineOptions& options) {
+  if (options.cascade.stages.front() != StageKind::kSignatureIndex ||
+      backend.size() == 0) {
+    return nullptr;
+  }
+  const Status dims = IndexDimsStatus(backend, options);
+  ROTIND_CONTRACT(dims.ok(),
+                  "signature index dims must fit the series length; "
+                  "QueryEngine::Open reports this as kInvalidArgument");
+  // With contracts compiled out, an unfit index is simply not built: the
+  // plain scan is exact.
+  if (!dims.ok()) return nullptr;
+  return SignatureIndex::Build(backend, options.kind, options.index_dims);
+}
+
 }  // namespace
 
 CascadeSpec CascadeSpec::ForAlgorithm(ScanAlgorithm algorithm,
@@ -1095,21 +1201,17 @@ CascadeSpec CascadeSpec::ForAlgorithm(ScanAlgorithm algorithm,
 CascadeSpec CascadeSpec::Normalized(DistanceKind kind) const {
   CascadeSpec out;
   out.stages.clear();
+  bool index = false;
   for (StageKind stage : stages) {
+    if (stage == StageKind::kSignatureIndex) {
+      index = true;  // a source stage, not a filter: placed below
+      continue;
+    }
     if (!IsTerminal(stage)) {
-      switch (stage) {
-        case StageKind::kFftMagnitude:
-        case StageKind::kVecSignature:
-          // Magnitude-spectrum bounds hold for Euclidean distance only.
-          if (kind != DistanceKind::kEuclidean) continue;
-          break;
-        case StageKind::kLbImproved:
-          // LCSS similarity is not bounded by envelope gap sums.
-          if (kind == DistanceKind::kLcss) continue;
-          break;
-        default:
-          break;
-      }
+      // Magnitude-spectrum bounds hold for Euclidean distance only.
+      const bool spectral = stage == StageKind::kFftMagnitude ||
+                            stage == StageKind::kVecSignature;
+      if (spectral && kind != DistanceKind::kEuclidean) continue;
       out.stages.push_back(stage);
       continue;
     }
@@ -1119,15 +1221,22 @@ CascadeSpec CascadeSpec::Normalized(DistanceKind kind) const {
   if (out.stages.empty() || !IsTerminal(out.stages.back())) {
     out.stages.push_back(StageKind::kExactScan);
   }
-  // A BANDED lower bound does not lower-bound UNCONSTRAINED DTW (the
-  // kFullScan terminal computes band -1): keeping kLbImproved there would
-  // falsely dismiss true matches. kFullScanBanded and the other DTW
-  // terminals warp inside the configured band, where the bound is exact.
-  if (kind == DistanceKind::kDtw &&
-      out.stages.back() == StageKind::kFullScan) {
+  // LB_Improved and the signature index bound ED and BANDED DTW. Neither
+  // bounds LCSS similarity, and a banded bound does not lower-bound
+  // UNCONSTRAINED DTW (the kFullScan terminal computes band -1): keeping
+  // them there would falsely dismiss true matches. kFullScanBanded and the
+  // other DTW terminals warp inside the configured band, where the bounds
+  // are exact.
+  const bool banded_bounds_sound =
+      kind != DistanceKind::kLcss &&
+      !(kind == DistanceKind::kDtw &&
+        out.stages.back() == StageKind::kFullScan);
+  if (!banded_bounds_sound) {
     out.stages.erase(std::remove(out.stages.begin(), out.stages.end(),
                                  StageKind::kLbImproved),
                      out.stages.end());
+  } else if (index) {
+    out.stages.insert(out.stages.begin(), StageKind::kSignatureIndex);
   }
   return out;
 }
@@ -1206,6 +1315,7 @@ QueryEngine::QueryEngine(const FlatDataset& db, const EngineOptions& options)
   // the zero-copy default.
   backend_ = opened.ok() ? *std::move(opened)
                          : std::make_unique<storage::InMemoryBackend>(db);
+  index_ = BuildIndex(*backend_, options_);
 }
 
 QueryEngine::QueryEngine(std::unique_ptr<storage::StorageBackend> backend,
@@ -1214,6 +1324,7 @@ QueryEngine::QueryEngine(std::unique_ptr<storage::StorageBackend> backend,
   options_.cascade = options.cascade.Normalized(options.kind);
   ROTIND_CONTRACT(backend_ != nullptr,
                   "the backend-owning constructor needs a backend");
+  index_ = BuildIndex(*backend_, options_);
 }
 
 StatusOr<std::unique_ptr<QueryEngine>> QueryEngine::Open(
@@ -1221,6 +1332,10 @@ StatusOr<std::unique_ptr<QueryEngine>> QueryEngine::Open(
   StatusOr<std::unique_ptr<storage::StorageBackend>> backend =
       storage::OpenBackend(options.storage, in_memory_source);
   if (!backend.ok()) return backend.status();
+  EngineOptions normalized = options;
+  normalized.cascade = options.cascade.Normalized(options.kind);
+  const Status dims = IndexDimsStatus(**backend, normalized);
+  if (!dims.ok()) return dims;
   return std::make_unique<QueryEngine>(*std::move(backend), options);
 }
 
@@ -1233,7 +1348,7 @@ ScanResult QueryEngine::SearchLeaveOneOut(const Series& query,
                                           std::size_t holdout,
                                           obs::QueryMetrics* metrics) const {
   ScanCall call{.holdout = holdout, .metrics = metrics};
-  return BestScan(*backend_, options_, query, call);
+  return BestScan(*backend_, options_, index_.get(), query, call);
 }
 
 ScanResult QueryEngine::SearchShared(const Series& query, std::size_t holdout,
@@ -1241,7 +1356,7 @@ ScanResult QueryEngine::SearchShared(const Series& query, std::size_t holdout,
                                      obs::QueryMetrics* metrics) const {
   ROTIND_CONTRACT(shared != nullptr, "SearchShared needs a SharedBound");
   ScanCall call{.holdout = holdout, .metrics = metrics, .shared = shared};
-  return BestScan(*backend_, options_, query, call);
+  return BestScan(*backend_, options_, index_.get(), query, call);
 }
 
 std::vector<Neighbor> QueryEngine::Knn(const Series& query, int k,
@@ -1254,7 +1369,7 @@ std::vector<Neighbor> QueryEngine::KnnLeaveOneOut(
     const Series& query, int k, std::size_t holdout, StepCounter* counter,
     obs::QueryMetrics* metrics) const {
   ScanCall call{.holdout = holdout, .metrics = metrics};
-  return KnnScan(*backend_, options_, query, k, counter, call);
+  return KnnScan(*backend_, options_, index_.get(), query, k, counter, call);
 }
 
 std::vector<Neighbor> QueryEngine::KnnShared(
@@ -1262,14 +1377,15 @@ std::vector<Neighbor> QueryEngine::KnnShared(
     StepCounter* counter, obs::QueryMetrics* metrics) const {
   ROTIND_CONTRACT(shared != nullptr, "KnnShared needs a SharedBound");
   ScanCall call{.holdout = holdout, .metrics = metrics, .shared = shared};
-  return KnnScan(*backend_, options_, query, k, counter, call);
+  return KnnScan(*backend_, options_, index_.get(), query, k, counter, call);
 }
 
 std::vector<Neighbor> QueryEngine::Range(const Series& query, double radius,
                                          StepCounter* counter,
                                          obs::QueryMetrics* metrics) const {
   ScanCall call{.metrics = metrics};
-  return RangeScan(*backend_, options_, query, radius, counter, call);
+  return RangeScan(*backend_, options_, index_.get(), query, radius, counter,
+                   call);
 }
 
 Status QueryEngine::ValidateQuery(const Series& query) const {
@@ -1315,7 +1431,8 @@ StatusOr<ScanResult> QueryEngine::SearchChecked(
     obs::QueryMetrics* metrics) const {
   return RunChecked(*this, query, Status::Ok(), cancel, metrics,
                     [&](ScanCall& call) {
-                      return BestScan(*backend_, options_, query, call);
+                      return BestScan(*backend_, options_, index_.get(),
+                                      query, call);
                     });
 }
 
@@ -1324,8 +1441,8 @@ StatusOr<std::vector<Neighbor>> QueryEngine::KnnChecked(
     const CancelToken* cancel, obs::QueryMetrics* metrics) const {
   return RunChecked(*this, query, ValidateK(k), cancel, metrics,
                     [&](ScanCall& call) {
-                      return KnnScan(*backend_, options_, query, k, counter,
-                                     call);
+                      return KnnScan(*backend_, options_, index_.get(),
+                                     query, k, counter, call);
                     });
 }
 
@@ -1334,8 +1451,8 @@ StatusOr<std::vector<Neighbor>> QueryEngine::RangeChecked(
     const CancelToken* cancel, obs::QueryMetrics* metrics) const {
   return RunChecked(*this, query, ValidateRadius(radius), cancel, metrics,
                     [&](ScanCall& call) {
-                      return RangeScan(*backend_, options_, query, radius,
-                                       counter, call);
+                      return RangeScan(*backend_, options_, index_.get(), query,
+                                       radius, counter, call);
                     });
 }
 

@@ -22,15 +22,27 @@
 
 namespace rotind {
 
-/// One stage of the pruning cascade. A cascade is an ordered list of
-/// filters followed by one terminal (exact) evaluator: each filter is a
-/// cheap lower bound that discards candidates provably at or above the
-/// current threshold (Lemire's two-pass principle: bounds compose as
-/// increasingly tight filters), and the terminal stage computes the exact
-/// thresholded distance. Because every filter is a true lower bound
-/// (Propositions 1-2), any composition returns exactly the same matches as
-/// brute force — only the work differs.
+class SignatureIndex;
+
+/// One stage of the pruning cascade. A cascade is an optional source
+/// stage that orders the visit, then an ordered list of filters followed by
+/// one terminal (exact) evaluator: each filter is a cheap lower bound that
+/// discards candidates provably at or above the current threshold
+/// (Lemire's two-pass principle: bounds compose as increasingly tight
+/// filters), and the terminal stage computes the exact thresholded
+/// distance. Because every bound is a true lower bound (Propositions 1-2),
+/// any composition returns exactly the same matches as brute force — only
+/// the work differs.
 enum class StageKind {
+  /// Source: the paper's signature index (Section 4.2 / Table 7, see
+  /// SignatureIndex). Instead of visiting candidates in database order,
+  /// the driver visits them in ascending signature-bound order and stops
+  /// once the bound reaches the collector's threshold; every visited
+  /// candidate runs the rest of the cascade. Euclidean: VP-tree over the
+  /// first EngineOptions::index_dims FFT magnitudes. Banded DTW: ascending
+  /// LB_PAA. Always leads the normalized cascade; dropped for kLcss and
+  /// for the unconstrained-DTW terminal, like kLbImproved.
+  kSignatureIndex,
   /// Filter: rotation-invariant FFT-magnitude lower bound (paper Section
   /// 4.2), charged n*log2(n) steps per candidate (Section 5.3). Runs as the
   /// kVecSignature filter at full resolution (dims = n/2, one band per
@@ -63,9 +75,10 @@ enum class StageKind {
 };
 
 /// An ordered pruning pipeline. Invalid compositions are normalized, never
-/// silently misinterpreted: filters that are unsound for the configured
-/// measure are dropped, everything after the first terminal stage is
-/// ignored, and a filter-only cascade gets kExactScan appended.
+/// silently misinterpreted: stages that are unsound for the configured
+/// measure are dropped, kSignatureIndex moves to the front, everything
+/// after the first terminal stage is ignored, and a filter-only cascade
+/// gets kExactScan appended.
 struct CascadeSpec {
   std::vector<StageKind> stages = {StageKind::kWedge};
 
@@ -75,26 +88,6 @@ struct CascadeSpec {
 
   /// Returns the normalized form described above.
   CascadeSpec Normalized(DistanceKind kind) const;
-};
-
-/// Blocked (structure-of-arrays, 8-candidates-at-a-time) scoring knobs for
-/// the cascade terminals, fed by FlatDataset's aligned SoA tiles and the
-/// src/simd/ kernels. Which kernel tier runs (AVX2 vs scalar) is a separate,
-/// process-wide decision (simd::ActiveTier, ROTIND_SIMD) — these flags
-/// choose the DRIVER shape, and every tier/driver combination returns
-/// identical query answers.
-struct SimdOptions {
-  /// Blocked full-scan ED terminals (kFullScan/kFullScanBanded under
-  /// kEuclidean). Observationally identical to the per-candidate path —
-  /// same answers, same step counts, same per-stage attribution — so on by
-  /// default.
-  bool blocked_full_scan = true;
-  /// Blocked early-abandoning ED terminal (kExactScan under kEuclidean).
-  /// Answers are identical, but lanes abandon against the block-entry
-  /// threshold instead of the live one, so step counts can drift from the
-  /// scalar reference. Off by default to keep counter parity (benches,
-  /// step-count tests); opt in where only answers and wall time matter.
-  bool blocked_early_abandon = false;
 };
 
 /// Full engine configuration. Distance kind, band, and rotation options are
@@ -109,7 +102,12 @@ struct EngineOptions {
   RotationOptions rotation;
   WedgePolicy wedge;
   CascadeSpec cascade;
-  SimdOptions simd;
+  /// Signature dimensionality D of the kSignatureIndex stage: FFT
+  /// magnitudes under kEuclidean (1..n/2), PAA segments under kDtw (1..n).
+  /// A file backend whose RIDX file carries the measure's section
+  /// overrides this with the stored dimensionality (the rows were computed
+  /// when the file was written). Unused without the stage.
+  std::size_t index_dims = 16;
   /// Dimensionality of the kVecSignature filter's pooled embedding when the
   /// backend has no stored RIDX v2 rows (clamped to n/2 per query). A
   /// file backend with a signature section overrides this: the stored
@@ -214,7 +212,8 @@ class QueryEngine {
   /// Engine over contiguous storage (the fast path). Honors
   /// options.storage for the in-memory and simulated backends; asking for
   /// the file backend here is a contract violation (open can fail) — use
-  /// Open().
+  /// Open(). So is a kSignatureIndex stage whose index dims do not fit the
+  /// series length (see SignatureIndex::ValidateDims); Open() reports it.
   explicit QueryEngine(const FlatDataset& db,
                        const EngineOptions& options = {});
 
@@ -226,8 +225,9 @@ class QueryEngine {
   /// Builds the backend options.storage asks for and the engine over it.
   /// This is the only way to get a file-backed engine: opening the index
   /// can fail (kNotFound, kBadMagic, ...) and the Status must reach the
-  /// caller. `in_memory_source` feeds the in-memory/simulated kinds and is
-  /// ignored for kFile.
+  /// caller. Also returns kInvalidArgument when a kSignatureIndex stage's
+  /// dims do not fit the series length. `in_memory_source` feeds the
+  /// in-memory/simulated kinds and is ignored for kFile.
   [[nodiscard]] static StatusOr<std::unique_ptr<QueryEngine>> Open(
       const EngineOptions& options,
       const FlatDataset* in_memory_source = nullptr);
@@ -350,6 +350,9 @@ class QueryEngine {
  private:
   std::unique_ptr<storage::StorageBackend> backend_;
   EngineOptions options_;
+  /// Built once at construction when the cascade has a kSignatureIndex
+  /// stage (null otherwise); immutable, so concurrent queries share it.
+  std::shared_ptr<const SignatureIndex> index_;
 };
 
 }  // namespace rotind

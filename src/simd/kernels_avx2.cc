@@ -194,56 +194,6 @@ void EdBlockFullAvx2(const double* q, const double* tile, std::size_t n,
   _mm256_storeu_pd(out_sq + 4, acc1);
 }
 
-void EdBlockEaAvx2(const double* q, const double* tile, std::size_t n,
-                   const double* sq_limits, double* out_sq,
-                   std::uint64_t* lane_steps, unsigned* abandoned) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  const __m256d lim0 = _mm256_loadu_pd(sq_limits);
-  const __m256d lim1 = _mm256_loadu_pd(sq_limits + 4);
-  unsigned active = 0xFFu;
-  *abandoned = 0;
-  for (std::size_t t = 0; t < n; ++t) {
-    const __m256d qv = _mm256_broadcast_sd(q + t);
-    const __m256d c0 = _mm256_load_pd(tile + t * kBlockLanes);
-    const __m256d c1 = _mm256_load_pd(tile + t * kBlockLanes + 4);
-    const __m256d d0 = _mm256_sub_pd(qv, c0);
-    const __m256d d1 = _mm256_sub_pd(qv, c1);
-    // Abandoned lanes keep accumulating garbage; their outputs were
-    // already pinned to +inf when they left `active`, so freezing them
-    // would cost a blend for nothing.
-    acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(d0, d0));
-    acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(d1, d1));
-    const unsigned over =
-        static_cast<unsigned>(
-            _mm256_movemask_pd(_mm256_cmp_pd(acc0, lim0, _CMP_GT_OQ))) |
-        (static_cast<unsigned>(
-             _mm256_movemask_pd(_mm256_cmp_pd(acc1, lim1, _CMP_GT_OQ)))
-         << 4);
-    const unsigned newly = over & active;
-    if (newly != 0) {
-      for (std::size_t l = 0; l < kBlockLanes; ++l) {
-        if ((newly >> l) & 1u) {
-          out_sq[l] = kInf;
-          lane_steps[l] = t + 1;
-        }
-      }
-      *abandoned |= newly;
-      active &= ~newly;
-      if (active == 0) return;
-    }
-  }
-  alignas(kSimdAlignment) double sums[8];
-  _mm256_store_pd(sums, acc0);
-  _mm256_store_pd(sums + 4, acc1);
-  for (std::size_t l = 0; l < kBlockLanes; ++l) {
-    if ((active >> l) & 1u) {
-      out_sq[l] = sums[l];
-      lane_steps[l] = n;
-    }
-  }
-}
-
 void EnvMergeAvx2(double* upper, double* lower, const double* other_upper,
                   const double* other_lower, std::size_t n) {
   std::size_t i = 0;
@@ -324,9 +274,8 @@ double DtwRowAvx2(double qi, const double* c, const double* prev, double* curr,
 
 const KernelTable& Avx2Table() {
   static const KernelTable table = {
-      &LbKeoghSqAvx2,  &LbKeoghProjSqAvx2,  &EdBlockFullAvx2,
-      &EdBlockEaAvx2,  &EnvMergeAvx2,       &EnvMergeSeriesAvx2,
-      &DtwRowAvx2,
+      &LbKeoghSqAvx2, &LbKeoghProjSqAvx2,  &EdBlockFullAvx2,
+      &EnvMergeAvx2,  &EnvMergeSeriesAvx2, &DtwRowAvx2,
   };
   return table;
 }

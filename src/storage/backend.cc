@@ -204,6 +204,17 @@ SignatureRows FileBackend::stored_signatures() const {
   return {file_->ri_signatures().data(), file_->ri_dims()};
 }
 
+IndexRows FileBackend::stored_index_rows() const {
+  IndexRows rows;
+  if (file_->sig_dims() > 0) {
+    rows.fft = {file_->spectral_signatures().data(), file_->sig_dims()};
+  }
+  if (file_->paa_dims() > 0) {
+    rows.paa = {file_->paa_summaries().data(), file_->paa_dims()};
+  }
+  return rows;
+}
+
 // --------------------------------------------------------------------------
 // FaultInjectingBackend
 

@@ -19,9 +19,9 @@
 
 namespace rotind::storage {
 
-/// Pluggable candidate-series storage behind the QueryEngine and
-/// RotationInvariantIndex: every refinement fetch goes through one of
-/// these instead of poking a `std::vector<Series>` directly.
+/// Pluggable candidate-series storage behind the QueryEngine: every
+/// candidate fetch goes through one of these instead of poking a
+/// `std::vector<Series>` directly.
 ///
 ///   kInMemory   zero-copy borrow from a FlatDataset — today's behavior,
 ///               no I/O, no accounting beyond the fetch count.
@@ -112,6 +112,14 @@ struct SignatureRows {
   std::size_t dims = 0;
 };
 
+/// The RIDX signature-index sections (see IndexFile): per stored series,
+/// its first-D FFT magnitudes and its D-segment PAA means; each null/0
+/// when the file was built without it.
+struct IndexRows {
+  SignatureRows fft;
+  SignatureRows paa;
+};
+
 /// Uniform read interface over the three storages. All methods are const
 /// and thread-safe (SearchBatch shares one backend across workers).
 class StorageBackend {
@@ -149,7 +157,7 @@ class StorageBackend {
   virtual void ClearError() const {}
 
   /// Capability queries: resident structures a query driver may read
-  /// INSTEAD of calling Fetch. Both are null by default. A decorator must
+  /// INSTEAD of calling Fetch. All are null by default. A decorator must
   /// not forward them — its Fetch may not return the inner bytes (fault
   /// injection), and a driver reading the inner structures would route
   /// every candidate around it.
@@ -161,6 +169,10 @@ class StorageBackend {
   /// Signature rows computed from the stored series when the index was
   /// written (MakeVecSignature over the same bytes Fetch returns).
   virtual SignatureRows stored_signatures() const { return {}; }
+  /// Signature-index rows computed from the stored series when the index
+  /// was written (MakeSpectralSignature / PaaTransform over the same bytes
+  /// Fetch returns).
+  virtual IndexRows stored_index_rows() const { return {}; }
 };
 
 /// Zero-copy over a FlatDataset (which must outlive the backend).
@@ -234,6 +246,7 @@ class FileBackend final : public StorageBackend {
   [[nodiscard]] Status error() const override;
   void ClearError() const override;
   SignatureRows stored_signatures() const override;
+  IndexRows stored_index_rows() const override;
 
   [[nodiscard]] const IndexFile& file() const { return *file_; }
   [[nodiscard]] const BufferPool& pool() const { return pool_; }
@@ -292,8 +305,8 @@ class FaultInjectingBackend final : public StorageBackend {
   int label(std::size_t i) const override { return inner_->label(i); }
   [[nodiscard]] Status error() const override;
   void ClearError() const override;
-  // resident_tiles()/stored_signatures() deliberately stay null: injected
-  // faults must reach every candidate through Fetch.
+  // resident_tiles()/stored_signatures()/stored_index_rows() deliberately
+  // stay null: injected faults must reach every candidate through Fetch.
 
   [[nodiscard]] FaultCounters fault_counters() const {
     return schedule_.counters();

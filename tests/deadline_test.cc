@@ -80,6 +80,8 @@ std::vector<CascadeSpec> AllCascades() {
       CascadeSpec{{StageKind::kFullScanBanded}},
       CascadeSpec{{StageKind::kFftMagnitude, StageKind::kWedge}},
       CascadeSpec{{StageKind::kFftMagnitude, StageKind::kExactScan}},
+      CascadeSpec{{StageKind::kSignatureIndex, StageKind::kWedge}},
+      CascadeSpec{{StageKind::kSignatureIndex, StageKind::kExactScan}},
   };
 }
 

@@ -19,6 +19,7 @@
 #include "src/index/index_io.h"
 #include "src/index/sharded_index.h"
 #include "src/lightcurve/lightcurve.h"
+#include "src/obs/metrics.h"
 #include "src/search/engine.h"
 #include "src/search/scan.h"
 #include "src/storage/backend.h"
@@ -69,14 +70,29 @@ std::vector<CascadeSpec> MakeCascades(DistanceKind kind) {
   if (kind == DistanceKind::kDtw) {
     out.push_back({{StageKind::kLbImproved, StageKind::kFullScanBanded}});
   }
+  // The signature index (VP-tree under ED, LB_PAA order under DTW) in
+  // front of every kind of terminal and of a filter.
+  out.push_back({{StageKind::kSignatureIndex, StageKind::kWedge}});
+  out.push_back({{StageKind::kSignatureIndex, StageKind::kExactScan}});
+  out.push_back({{StageKind::kSignatureIndex, StageKind::kLbImproved,
+                  StageKind::kExactScan}});
+  out.push_back({{StageKind::kSignatureIndex,
+                  kind == DistanceKind::kDtw ? StageKind::kFullScanBanded
+                                             : StageKind::kFullScan}});
   return out;
 }
+
+/// Signature dims of every index cascade here: the RIDX files below are
+/// built with the same dims, so file-backed indexes (which read the stored
+/// rows) and computed ones hold the same rows.
+constexpr std::size_t kIndexDims = 4;
 
 std::string CascadeName(const CascadeSpec& spec) {
   std::string name;
   for (StageKind s : spec.stages) {
     if (!name.empty()) name += "+";
     switch (s) {
+      case StageKind::kSignatureIndex: name += "index"; break;
       case StageKind::kFftMagnitude: name += "fft"; break;
       case StageKind::kVecSignature: name += "vecsig"; break;
       case StageKind::kLbImproved: name += "lbi"; break;
@@ -109,6 +125,7 @@ TEST_P(EngineEquivalenceTest, AllCompositionsAgreeWithBruteForce) {
     EngineOptions reference_options;
     reference_options.kind = kind;
     reference_options.band = 4;
+    reference_options.index_dims = kIndexDims;
     reference_options.rotation.mirror = mirror;
     reference_options.cascade.stages = {kind == DistanceKind::kDtw
                                             ? StageKind::kFullScanBanded
@@ -242,8 +259,8 @@ TEST_P(BackendEquivalenceTest, AllBackendsReturnBitIdenticalResults) {
   Dataset ds;
   ds.items = items;
   IndexBuildOptions build;
-  build.sig_dims = 4;
-  build.paa_dims = 4;
+  build.sig_dims = kIndexDims;
+  build.paa_dims = kIndexDims;
   build.page_size_bytes = 128;  // 36 doubles = 288 bytes: extents straddle
   const std::string path = "/tmp/rotind_equiv_test." +
                            std::to_string(::getpid()) + ".ridx";
@@ -253,6 +270,7 @@ TEST_P(BackendEquivalenceTest, AllBackendsReturnBitIdenticalResults) {
     EngineOptions options;
     options.kind = kind;
     options.band = 4;
+    options.index_dims = kIndexDims;
     options.cascade = cascade;
 
     const QueryEngine memory(flat, options);
@@ -321,6 +339,114 @@ TEST_P(BackendEquivalenceTest, AllBackendsReturnBitIdenticalResults) {
   std::remove(path.c_str());
 }
 
+/// The signature index only reorders and cuts the visit: over every
+/// backend, with and without a held-out query, each index cascade returns
+/// BIT-IDENTICAL answers (same indexes, same distances with ==) to the
+/// same cascade without the index, for 1-NN, k-NN, and range queries, and
+/// it never visits more candidates than the plain scan.
+class IndexStageEquivalenceTest
+    : public ::testing::TestWithParam<DistanceKind> {};
+
+TEST_P(IndexStageEquivalenceTest, IndexMatchesPlainCascadeBitForBit) {
+  const DistanceKind kind = GetParam();
+  const std::vector<Series> items = MakeProjectilePointsDatabase(26, 36, 801);
+  const FlatDataset flat = FlatDataset::FromItems(items);
+  Dataset ds;
+  ds.items = items;
+  IndexBuildOptions build;
+  build.sig_dims = kIndexDims;
+  build.paa_dims = kIndexDims;
+  build.page_size_bytes = 128;
+  const std::string path = "/tmp/rotind_index_equiv_test." +
+                           std::to_string(::getpid()) + "." +
+                           DistanceKindName(kind) + ".ridx";
+  ASSERT_TRUE(BuildIndexFile(ds, build, path).ok());
+
+  const StageKind full = kind == DistanceKind::kDtw
+                             ? StageKind::kFullScanBanded
+                             : StageKind::kFullScan;
+  for (const StageKind terminal :
+       {StageKind::kWedge, StageKind::kExactScan, full}) {
+    EngineOptions plain_options;
+    plain_options.kind = kind;
+    plain_options.band = 4;
+    plain_options.index_dims = kIndexDims;
+    plain_options.cascade.stages = {terminal};
+    const QueryEngine plain(flat, plain_options);
+
+    EngineOptions options = plain_options;
+    options.cascade.stages = {StageKind::kSignatureIndex, terminal};
+    const QueryEngine memory(flat, options);
+    EngineOptions sim_options = options;
+    sim_options.storage.backend = storage::BackendKind::kSimulated;
+    auto simulated = QueryEngine::Open(sim_options, &flat);
+    ASSERT_TRUE(simulated.ok()) << simulated.status().message();
+    EngineOptions file_options = options;
+    file_options.storage.backend = storage::BackendKind::kFile;
+    file_options.storage.index_path = path;
+    file_options.storage.pool_pages = 3;
+    auto file = QueryEngine::Open(file_options);
+    ASSERT_TRUE(file.ok()) << file.status().message();
+
+    const QueryEngine* engines[] = {&memory, simulated->get(), file->get()};
+    for (const std::size_t qi : {0u, 12u, 25u}) {
+      const Series& query = items[qi];
+      // A query that is not in the database: a noisy rotation of item qi.
+      Series probe = RotateLeft(query, 7);
+      for (std::size_t j = 0; j < probe.size(); ++j) {
+        probe[j] += 0.01 * static_cast<double>(j % 5);
+      }
+      for (const std::size_t holdout : {qi, items.size()}) {
+        const Series& q = holdout == qi ? query : probe;
+        const ScanResult ref = plain.SearchLeaveOneOut(q, holdout);
+        const auto ref_knn = plain.KnnLeaveOneOut(q, 3, holdout);
+        const double radius = ref_knn.back().distance * 1.01;
+        const auto ref_range = plain.Range(q, radius);
+        for (const QueryEngine* engine : engines) {
+          const std::string label =
+              std::string(DistanceKindName(kind)) + "/index+" +
+              std::to_string(static_cast<int>(terminal)) + "/" +
+              engine->backend()->name() + "/q" + std::to_string(qi) +
+              (holdout == qi ? "/holdout" : "/probe");
+          obs::QueryMetrics metrics;
+          const ScanResult got =
+              engine->SearchLeaveOneOut(q, holdout, &metrics);
+          EXPECT_EQ(got.best_index, ref.best_index) << label;
+          EXPECT_EQ(got.best_distance, ref.best_distance) << label;
+          EXPECT_LE(metrics.index.refinements,
+                    items.size() - (holdout == qi ? 1 : 0))
+              << label;
+
+          const auto knn = engine->KnnLeaveOneOut(q, 3, holdout);
+          ASSERT_EQ(knn.size(), ref_knn.size()) << label;
+          for (std::size_t r = 0; r < knn.size(); ++r) {
+            EXPECT_EQ(knn[r].index, ref_knn[r].index) << label << " rank " << r;
+            EXPECT_EQ(knn[r].distance, ref_knn[r].distance)
+                << label << " rank " << r;
+          }
+
+          const auto range = engine->Range(q, radius);
+          ASSERT_EQ(range.size(), ref_range.size()) << label;
+          for (std::size_t r = 0; r < range.size(); ++r) {
+            EXPECT_EQ(range[r].index, ref_range[r].index)
+                << label << " hit " << r;
+            EXPECT_EQ(range[r].distance, ref_range[r].distance)
+                << label << " hit " << r;
+          }
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, IndexStageEquivalenceTest,
+                         ::testing::Values(DistanceKind::kEuclidean,
+                                           DistanceKind::kDtw),
+                         [](const ::testing::TestParamInfo<DistanceKind>& p) {
+                           return std::string(DistanceKindName(p.param));
+                         });
+
 /// Sharding is invisible to exactness: a ShardedIndex over ANY shard
 /// split of the database — with or without a delta segment and
 /// tombstones — answers 1-NN, k-NN, and range queries identically to one
@@ -383,6 +509,7 @@ TEST_P(ShardEquivalenceTest, ShardedMatchesMonolithicOverLiveRows) {
         options.pool_pages = 4;
         options.engine.kind = kind;
         options.engine.band = 4;
+        options.engine.index_dims = kIndexDims;
         options.engine.cascade = cascade;
         StatusOr<std::unique_ptr<ShardedIndex>> opened =
             ShardedIndex::Open(manifest_path, options);

@@ -116,6 +116,42 @@ TEST(CascadeSpecTest, LbImprovedSoundnessRules) {
   EXPECT_EQ(ed_full.stages[0], StageKind::kLbImproved);
 }
 
+/// The signature index is a source stage: wherever it is listed it leads
+/// the cascade, and it follows kLbImproved's soundness rule (ED and banded
+/// DTW only).
+TEST(CascadeSpecTest, SignatureIndexLeadsAndFollowsTheBandedRule) {
+  CascadeSpec spec;
+  spec.stages = {StageKind::kLbImproved, StageKind::kSignatureIndex,
+                 StageKind::kWedge};
+  for (DistanceKind kind : {DistanceKind::kEuclidean, DistanceKind::kDtw}) {
+    const CascadeSpec norm = spec.Normalized(kind);
+    ASSERT_EQ(norm.stages.size(), 3u) << DistanceKindName(kind);
+    EXPECT_EQ(norm.stages[0], StageKind::kSignatureIndex);
+    EXPECT_EQ(norm.stages[1], StageKind::kLbImproved);
+    EXPECT_EQ(norm.stages[2], StageKind::kWedge);
+  }
+  const CascadeSpec lcss = spec.Normalized(DistanceKind::kLcss);
+  ASSERT_EQ(lcss.stages.size(), 1u);
+  EXPECT_EQ(lcss.stages[0], StageKind::kWedge);
+
+  // An index-only cascade gets the default terminal like any filter list.
+  CascadeSpec alone;
+  alone.stages = {StageKind::kSignatureIndex};
+  const CascadeSpec ed_alone = alone.Normalized(DistanceKind::kEuclidean);
+  ASSERT_EQ(ed_alone.stages.size(), 2u);
+  EXPECT_EQ(ed_alone.stages[1], StageKind::kExactScan);
+
+  CascadeSpec full;
+  full.stages = {StageKind::kSignatureIndex, StageKind::kFullScan};
+  const CascadeSpec dtw_full = full.Normalized(DistanceKind::kDtw);
+  ASSERT_EQ(dtw_full.stages.size(), 1u);
+  EXPECT_EQ(dtw_full.stages[0], StageKind::kFullScan);
+  EXPECT_EQ(full.Normalized(DistanceKind::kEuclidean).stages.size(), 2u);
+  CascadeSpec banded;
+  banded.stages = {StageKind::kSignatureIndex, StageKind::kFullScanBanded};
+  EXPECT_EQ(banded.Normalized(DistanceKind::kDtw).stages.size(), 2u);
+}
+
 TEST(CascadeSpecTest, ForAlgorithmReproducesLegacyCompositions) {
   const auto wedge =
       CascadeSpec::ForAlgorithm(ScanAlgorithm::kWedge, DistanceKind::kDtw);

@@ -1,14 +1,17 @@
-/// Exact k-NN on the disk-backed rotation-invariant index, validated
-/// against directly computed distances.
+/// Exact k-NN through the signature index (the engine's kSignatureIndex
+/// stage over the simulated disk), validated against directly computed
+/// distances.
 
 #include <algorithm>
 
 #include <gtest/gtest.h>
 
+#include "src/core/flat_dataset.h"
 #include "src/core/random.h"
 #include "src/datasets/synthetic.h"
 #include "src/distance/rotation.h"
-#include "src/index/candidate_scan.h"
+#include "src/obs/metrics.h"
+#include "src/search/engine.h"
 
 namespace rotind {
 namespace {
@@ -20,15 +23,23 @@ Series NoisyRotation(const Series& base, Rng* rng) {
   return q;
 }
 
+EngineOptions IndexOptions(DistanceKind kind) {
+  EngineOptions options;
+  options.kind = kind;
+  options.cascade.stages = {StageKind::kSignatureIndex, StageKind::kWedge};
+  options.index_dims = 8;
+  options.storage.backend = storage::BackendKind::kSimulated;
+  return options;
+}
+
 class IndexKnnTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(IndexKnnTest, EuclideanKnnMatchesDirectComputation) {
   const int k = GetParam();
   const std::size_t n = 48;
   const std::vector<Series> db = MakeProjectilePointsDatabase(60, n, 31);
-  RotationInvariantIndex::Options opts;
-  opts.dims = 8;
-  RotationInvariantIndex index(db, opts);
+  const FlatDataset flat = FlatDataset::FromItems(db);
+  const QueryEngine index(flat, IndexOptions(DistanceKind::kEuclidean));
 
   Rng rng(static_cast<std::uint64_t>(k) * 5 + 3);
   for (int trial = 0; trial < 3; ++trial) {
@@ -41,16 +52,16 @@ TEST_P(IndexKnnTest, EuclideanKnnMatchesDirectComputation) {
     }
     std::sort(ref.begin(), ref.end());
 
-    RotationInvariantIndex::Result stats;
-    const auto knn = index.KNearestNeighbors(q, k, &stats);
+    obs::QueryMetrics metrics;
+    const auto knn = index.Knn(q, k, nullptr, &metrics);
     ASSERT_EQ(knn.size(), static_cast<std::size_t>(k));
     for (int i = 0; i < k; ++i) {
       EXPECT_NEAR(knn[static_cast<std::size_t>(i)].distance,
                   ref[static_cast<std::size_t>(i)].first, 1e-9)
           << "k=" << k << " i=" << i;
     }
-    EXPECT_EQ(stats.best_index, knn[0].index);
-    EXPECT_LE(stats.fetch_fraction, 1.0);
+    EXPECT_EQ(knn[0].index, ref[0].second);
+    EXPECT_LE(metrics.index.object_fetches, db.size());
   }
 }
 
@@ -60,11 +71,10 @@ TEST(IndexKnnTest, DtwKnnMatchesDirectComputation) {
   const std::size_t n = 40;
   const int band = 3;
   const std::vector<Series> db = MakeProjectilePointsDatabase(40, n, 32);
-  RotationInvariantIndex::Options opts;
-  opts.dims = 8;
-  opts.kind = DistanceKind::kDtw;
-  opts.band = band;
-  RotationInvariantIndex index(db, opts);
+  const FlatDataset flat = FlatDataset::FromItems(db);
+  EngineOptions options = IndexOptions(DistanceKind::kDtw);
+  options.band = band;
+  const QueryEngine index(flat, options);
 
   Rng rng(7);
   const Series q = NoisyRotation(db[13], &rng);
@@ -76,7 +86,7 @@ TEST(IndexKnnTest, DtwKnnMatchesDirectComputation) {
   }
   std::sort(ref.begin(), ref.end());
 
-  const auto knn = index.KNearestNeighbors(q, 5);
+  const auto knn = index.Knn(q, 5);
   ASSERT_EQ(knn.size(), 5u);
   for (int i = 0; i < 5; ++i) {
     EXPECT_NEAR(knn[static_cast<std::size_t>(i)].distance,
@@ -86,23 +96,21 @@ TEST(IndexKnnTest, DtwKnnMatchesDirectComputation) {
 
 TEST(IndexKnnTest, KLargerThanDatabase) {
   const std::vector<Series> db = MakeProjectilePointsDatabase(5, 32, 33);
-  RotationInvariantIndex::Options opts;
-  opts.dims = 8;
-  RotationInvariantIndex index(db, opts);
-  const auto knn = index.KNearestNeighbors(db[0], 10);
+  const FlatDataset flat = FlatDataset::FromItems(db);
+  const QueryEngine index(flat, IndexOptions(DistanceKind::kEuclidean));
+  const auto knn = index.Knn(db[0], 10);
   EXPECT_EQ(knn.size(), 5u);
   EXPECT_EQ(knn[0].index, 0);  // the object itself at distance 0
 }
 
 TEST(IndexKnnTest, KnnOneMatchesNearestNeighbor) {
   const std::vector<Series> db = MakeProjectilePointsDatabase(50, 40, 34);
-  RotationInvariantIndex::Options opts;
-  opts.dims = 8;
-  RotationInvariantIndex index(db, opts);
+  const FlatDataset flat = FlatDataset::FromItems(db);
+  const QueryEngine index(flat, IndexOptions(DistanceKind::kEuclidean));
   Rng rng(8);
   const Series q = NoisyRotation(db[21], &rng);
-  const auto nn = index.NearestNeighbor(q);
-  const auto knn = index.KNearestNeighbors(q, 1);
+  const ScanResult nn = index.Search(q);
+  const auto knn = index.Knn(q, 1);
   ASSERT_EQ(knn.size(), 1u);
   EXPECT_EQ(knn[0].index, nn.best_index);
   EXPECT_NEAR(knn[0].distance, nn.best_distance, 1e-12);

@@ -1,12 +1,19 @@
-#include "src/index/candidate_scan.h"
+/// The paper's disk-aware index (Section 4.2 / 5.4, Table 7) as the engine
+/// runs it: the kSignatureIndex stage in front of the wedge terminal, with
+/// the series behind the simulated disk so every fetch is counted — plus
+/// the simulated disk's own accounting.
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
+#include "src/core/flat_dataset.h"
 #include "src/core/random.h"
 #include "src/datasets/synthetic.h"
 #include "src/distance/rotation.h"
+#include "src/obs/metrics.h"
+#include "src/search/engine.h"
 #include "src/storage/simulated_disk.h"
 
 namespace rotind {
@@ -80,16 +87,42 @@ TEST(SimulatedDiskTest, InvalidIdsAreRejectedNotUndefined) {
   EXPECT_EQ(disk.object_fetches(), 1u);
 }
 
+EngineOptions IndexOptions(DistanceKind kind, std::size_t dims) {
+  EngineOptions options;
+  options.kind = kind;
+  options.cascade.stages = {StageKind::kSignatureIndex, StageKind::kWedge};
+  options.index_dims = dims;
+  options.storage.backend = storage::BackendKind::kSimulated;
+  return options;
+}
+
+/// One indexed 1-NN query with its fetch accounting.
+struct IndexedResult {
+  ScanResult result;
+  std::uint64_t object_fetches = 0;
+  /// object_fetches / database size — Figure 24's y-axis.
+  double fetch_fraction = 0.0;
+};
+
+IndexedResult IndexedSearch(const QueryEngine& engine, const Series& query) {
+  obs::QueryMetrics metrics;
+  IndexedResult out;
+  out.result = engine.Search(query, &metrics);
+  out.object_fetches = metrics.index.object_fetches;
+  out.fetch_fraction = static_cast<double>(out.object_fetches) /
+                       static_cast<double>(engine.database_size());
+  return out;
+}
+
 class IndexExactnessTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(IndexExactnessTest, EuclideanIndexMatchesBruteForce) {
   const std::size_t dims = GetParam();
   const std::size_t n = 64;
   const std::vector<Series> db = MakeProjectilePointsDatabase(80, n, 123);
-  RotationInvariantIndex::Options opts;
-  opts.dims = dims;
-  opts.kind = DistanceKind::kEuclidean;
-  RotationInvariantIndex index(db, opts);
+  const FlatDataset flat = FlatDataset::FromItems(db);
+  const QueryEngine index(flat,
+                          IndexOptions(DistanceKind::kEuclidean, dims));
 
   Rng rng(dims);
   for (int trial = 0; trial < 5; ++trial) {
@@ -99,7 +132,7 @@ TEST_P(IndexExactnessTest, EuclideanIndexMatchesBruteForce) {
     for (double& v : q) v += rng.Gaussian(0.0, 0.05);
     ZNormalize(&q);
 
-    const RotationInvariantIndex::Result r = index.NearestNeighbor(q);
+    const IndexedResult r = IndexedSearch(index, q);
 
     double best = std::numeric_limits<double>::infinity();
     int expected = -1;
@@ -110,9 +143,9 @@ TEST_P(IndexExactnessTest, EuclideanIndexMatchesBruteForce) {
         expected = static_cast<int>(i);
       }
     }
-    EXPECT_EQ(r.best_index, expected) << "dims=" << dims;
-    EXPECT_NEAR(r.best_distance, best, 1e-9);
-    EXPECT_LE(r.fetch_fraction, 1.0);
+    EXPECT_EQ(r.result.best_index, expected) << "dims=" << dims;
+    EXPECT_NEAR(r.result.best_distance, best, 1e-9);
+    EXPECT_LT(r.fetch_fraction, 1.0);
   }
 }
 
@@ -123,11 +156,10 @@ TEST(IndexExactnessTest, DtwIndexMatchesBruteForce) {
   const std::size_t n = 48;
   const int band = 3;
   const std::vector<Series> db = MakeProjectilePointsDatabase(50, n, 321);
-  RotationInvariantIndex::Options opts;
-  opts.dims = 8;
-  opts.kind = DistanceKind::kDtw;
-  opts.band = band;
-  RotationInvariantIndex index(db, opts);
+  const FlatDataset flat = FlatDataset::FromItems(db);
+  EngineOptions options = IndexOptions(DistanceKind::kDtw, 8);
+  options.band = band;
+  const QueryEngine index(flat, options);
 
   Rng rng(55);
   for (int trial = 0; trial < 4; ++trial) {
@@ -136,7 +168,7 @@ TEST(IndexExactnessTest, DtwIndexMatchesBruteForce) {
     for (double& v : q) v += rng.Gaussian(0.0, 0.05);
     ZNormalize(&q);
 
-    const RotationInvariantIndex::Result r = index.NearestNeighbor(q);
+    const IndexedResult r = IndexedSearch(index, q);
 
     double best = std::numeric_limits<double>::infinity();
     int expected = -1;
@@ -147,8 +179,9 @@ TEST(IndexExactnessTest, DtwIndexMatchesBruteForce) {
         expected = static_cast<int>(i);
       }
     }
-    EXPECT_EQ(r.best_index, expected);
-    EXPECT_NEAR(r.best_distance, best, 1e-9);
+    EXPECT_EQ(r.result.best_index, expected);
+    EXPECT_NEAR(r.result.best_distance, best, 1e-9);
+    EXPECT_LT(r.fetch_fraction, 1.0);
   }
 }
 
@@ -156,6 +189,7 @@ TEST(IndexTest, HigherDimsFetchLess) {
   // Figure 24's qualitative shape: fraction retrieved decreases with D.
   const std::size_t n = 64;
   const std::vector<Series> db = MakeProjectilePointsDatabase(300, n, 9);
+  const FlatDataset flat = FlatDataset::FromItems(db);
   Rng rng(10);
   Series q = RotateLeft(db[17], 23);
   for (double& v : q) v += rng.Gaussian(0.0, 0.03);
@@ -164,11 +198,11 @@ TEST(IndexTest, HigherDimsFetchLess) {
   double prev_fraction = 1.1;
   int non_improvements = 0;
   for (std::size_t dims : {4u, 16u, 32u}) {
-    RotationInvariantIndex::Options opts;
-    opts.dims = dims;
-    RotationInvariantIndex index(db, opts);
-    const auto r = index.NearestNeighbor(q);
-    EXPECT_EQ(r.best_index, 17);
+    const QueryEngine index(flat,
+                            IndexOptions(DistanceKind::kEuclidean, dims));
+    const IndexedResult r = IndexedSearch(index, q);
+    EXPECT_EQ(r.result.best_index, 17);
+    EXPECT_LT(r.fetch_fraction, 1.0);
     if (r.fetch_fraction > prev_fraction + 1e-12) ++non_improvements;
     prev_fraction = r.fetch_fraction;
   }
@@ -180,79 +214,124 @@ TEST(IndexTest, HigherDimsFetchLess) {
 TEST(IndexTest, MirrorOptionSupported) {
   const std::size_t n = 40;
   std::vector<Series> db = MakeProjectilePointsDatabase(30, n, 77);
-  Rng rng(20);
+  const FlatDataset flat = FlatDataset::FromItems(db);
   Series q = Reversed(RotateLeft(db[11], 5));
   ZNormalize(&q);
 
-  RotationInvariantIndex::Options opts;
-  opts.dims = 8;
-  opts.rotation.mirror = true;
-  RotationInvariantIndex index(db, opts);
-  const auto r = index.NearestNeighbor(q);
+  EngineOptions options = IndexOptions(DistanceKind::kEuclidean, 8);
+  options.rotation.mirror = true;
+  const QueryEngine index(flat, options);
+  const ScanResult r = index.Search(q);
   EXPECT_EQ(r.best_index, 11);
   EXPECT_NEAR(r.best_distance, 0.0, 1e-9);
+  EXPECT_TRUE(r.best_mirrored);
 }
 
 TEST(IndexTest, RepeatedQueriesResetCounters) {
   const std::vector<Series> db = MakeProjectilePointsDatabase(40, 32, 5);
-  RotationInvariantIndex::Options opts;
-  opts.dims = 8;
-  RotationInvariantIndex index(db, opts);
-  const auto r1 = index.NearestNeighbor(db[0]);
-  const auto r2 = index.NearestNeighbor(db[0]);
-  EXPECT_EQ(r1.object_fetches, r2.object_fetches);  // counters reset per query
+  const FlatDataset flat = FlatDataset::FromItems(db);
+  const QueryEngine index(flat, IndexOptions(DistanceKind::kEuclidean, 8));
+  const IndexedResult r1 = IndexedSearch(index, db[0]);
+  const IndexedResult r2 = IndexedSearch(index, db[0]);
+  EXPECT_GT(r1.object_fetches, 0u);
+  EXPECT_EQ(r1.object_fetches, r2.object_fetches);  // per-query accounting
+  EXPECT_EQ(r1.result.counter.total_steps(), r2.result.counter.total_steps());
 }
 
-/// Regression: the unchecked constructor silently clamps dims to the n/2
-/// spectral coefficients that exist and mis-indexes on ragged databases.
-/// Create() turns every such case into a hard kInvalidArgument.
-TEST(IndexCreateTest, RejectsEmptyRaggedAndDegenerateDatabases) {
-  RotationInvariantIndex::Options opts;
-  opts.dims = 8;
-
-  const auto empty = RotationInvariantIndex::Create({}, opts);
-  ASSERT_FALSE(empty.ok());
-  EXPECT_EQ(empty.status().code(), StatusCode::kInvalidArgument);
+/// Ragged and too-short databases never reach the index: FlatDataset
+/// rejects ragged rows, and no index dims fit length-1 Euclidean series.
+/// An empty database is valid and answers nothing.
+TEST(IndexCreateTest, RejectsRaggedAndDegenerateDatabases) {
+  const FlatDataset empty;
+  auto opened = QueryEngine::Open(IndexOptions(DistanceKind::kEuclidean, 8),
+                                  &empty);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ((*opened)->Search(Series{1.0, 2.0}).best_index, -1);
 
   std::vector<Series> ragged = MakeProjectilePointsDatabase(10, 32, 6);
   ragged[4].resize(20);
-  const auto bad = RotationInvariantIndex::Create(ragged, opts);
+  const auto bad = FlatDataset::FromItemsChecked(ragged);
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bad.status().message().find("ragged"), std::string::npos);
+  EXPECT_NE(bad.status().message().find("item 4"), std::string::npos);
 
-  const auto tiny =
-      RotationInvariantIndex::Create({Series{1.0}, Series{2.0}}, opts);
-  EXPECT_FALSE(tiny.ok());
+  const FlatDataset tiny = FlatDataset::FromItems({Series{1.0}, Series{2.0}});
+  const auto tiny_index =
+      QueryEngine::Open(IndexOptions(DistanceKind::kEuclidean, 1), &tiny);
+  ASSERT_FALSE(tiny_index.ok());
+  EXPECT_EQ(tiny_index.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(IndexCreateTest, RejectsDimsBeyondTheSpectralCoefficients) {
-  const std::vector<Series> db = MakeProjectilePointsDatabase(10, 32, 7);
-  RotationInvariantIndex::Options opts;
-  opts.kind = DistanceKind::kEuclidean;
-  opts.dims = 17;  // > n/2 = 16: the constructor would silently clamp
-  const auto clamped = RotationInvariantIndex::Create(db, opts);
-  ASSERT_FALSE(clamped.ok());
-  EXPECT_EQ(clamped.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(clamped.status().message().find("clamp"), std::string::npos);
+  const FlatDataset flat =
+      FlatDataset::FromItems(MakeProjectilePointsDatabase(10, 32, 7));
+  // > n/2 = 16 FFT magnitudes exist.
+  const auto oversized =
+      QueryEngine::Open(IndexOptions(DistanceKind::kEuclidean, 17), &flat);
+  ASSERT_FALSE(oversized.ok());
+  EXPECT_EQ(oversized.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(oversized.status().message().find("1..16"), std::string::npos);
+  EXPECT_NE(oversized.status().message().find("FFT magnitudes"),
+            std::string::npos);
 
-  opts.dims = 0;
-  EXPECT_FALSE(RotationInvariantIndex::Create(db, opts).ok());
+  EXPECT_FALSE(
+      QueryEngine::Open(IndexOptions(DistanceKind::kEuclidean, 0), &flat)
+          .ok());
+  EXPECT_TRUE(
+      QueryEngine::Open(IndexOptions(DistanceKind::kEuclidean, 16), &flat)
+          .ok());
 }
 
-TEST(IndexCreateTest, ValidInputMatchesTheUncheckedConstructor) {
-  const std::vector<Series> db = MakeProjectilePointsDatabase(30, 32, 8);
-  RotationInvariantIndex::Options opts;
-  opts.dims = 8;
-  const auto created = RotationInvariantIndex::Create(db, opts);
-  ASSERT_TRUE(created.ok()) << created.status().ToString();
+/// Regression: DTW index dims were never checked, and dims > n made
+/// PaaTransform average empty segments (0/0 = NaN) and sort NaN bounds.
+TEST(IndexCreateTest, RejectsDtwDimsBeyondTheSeriesLength) {
+  const FlatDataset flat =
+      FlatDataset::FromItems(MakeProjectilePointsDatabase(5, 16, 8));
+  const auto oversized =
+      QueryEngine::Open(IndexOptions(DistanceKind::kDtw, 40), &flat);
+  ASSERT_FALSE(oversized.ok());
+  EXPECT_EQ(oversized.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(oversized.status().message().find("1..16"), std::string::npos);
+  EXPECT_NE(oversized.status().message().find("PAA segments"),
+            std::string::npos);
 
-  RotationInvariantIndex direct(db, opts);
-  const auto want = direct.NearestNeighbor(db[3]);
-  const auto got = (*created)->NearestNeighbor(db[3]);
-  EXPECT_EQ(got.best_index, want.best_index);
-  EXPECT_EQ(got.best_distance, want.best_distance);
-  EXPECT_EQ(got.counter.total_steps(), want.counter.total_steps());
+  EXPECT_FALSE(
+      QueryEngine::Open(IndexOptions(DistanceKind::kDtw, 17), &flat).ok());
+  EXPECT_FALSE(
+      QueryEngine::Open(IndexOptions(DistanceKind::kDtw, 0), &flat).ok());
+  // Every length-n PAA width up to n itself is valid, and LCSS drops the
+  // stage, so its dims are never checked.
+  EXPECT_TRUE(QueryEngine::Open(IndexOptions(DistanceKind::kDtw, 16), &flat)
+                  .ok());
+  EXPECT_TRUE(QueryEngine::Open(IndexOptions(DistanceKind::kLcss, 40), &flat)
+                  .ok());
+}
+
+#if ROTIND_CONTRACTS_ENABLED
+TEST(IndexCreateDeathTest, BorrowingConstructorStatesTheDimsContract) {
+  const FlatDataset flat =
+      FlatDataset::FromItems(MakeProjectilePointsDatabase(5, 16, 8));
+  EXPECT_DEATH(QueryEngine(flat, IndexOptions(DistanceKind::kDtw, 40)),
+               "ROTIND_CONTRACT");
+}
+#endif  // ROTIND_CONTRACTS_ENABLED
+
+TEST(IndexCreateTest, ValidInputMatchesTheUncheckedConstructor) {
+  const FlatDataset flat =
+      FlatDataset::FromItems(MakeProjectilePointsDatabase(30, 32, 8));
+  for (DistanceKind kind : {DistanceKind::kEuclidean, DistanceKind::kDtw}) {
+    const EngineOptions options = IndexOptions(kind, 8);
+    const auto opened = QueryEngine::Open(options, &flat);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+
+    const QueryEngine direct(flat, options);
+    const Series query = flat.Materialize(3);
+    const ScanResult want = direct.Search(query);
+    const ScanResult got = (*opened)->Search(query);
+    EXPECT_EQ(got.best_index, want.best_index);
+    EXPECT_EQ(got.best_distance, want.best_distance);
+    EXPECT_EQ(got.counter.total_steps(), want.counter.total_steps());
+  }
 }
 
 }  // namespace

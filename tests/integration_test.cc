@@ -9,7 +9,6 @@
 #include "src/core/flat_dataset.h"
 #include "src/core/random.h"
 #include "src/distance/rotation.h"
-#include "src/index/candidate_scan.h"
 #include "src/search/engine.h"
 #include "src/shape/generate.h"
 #include "src/shape/profile.h"
@@ -56,10 +55,12 @@ TEST(IntegrationTest, IndexAgreesWithScanOnRasterShapes) {
     ASSERT_FALSE(s.empty());
     db.push_back(s);
   }
-  RotationInvariantIndex::Options opts;
-  opts.dims = 8;
-  RotationInvariantIndex index(db, opts);
   const FlatDataset flat = FlatDataset::FromItems(db);
+  EngineOptions indexed;
+  indexed.cascade.stages = {StageKind::kSignatureIndex, StageKind::kWedge};
+  indexed.index_dims = 8;
+  indexed.storage.backend = storage::BackendKind::kSimulated;
+  const QueryEngine index(flat, indexed);
   const QueryEngine engine(flat);
 
   for (int trial = 0; trial < 4; ++trial) {
@@ -67,7 +68,7 @@ TEST(IntegrationTest, IndexAgreesWithScanOnRasterShapes) {
                           static_cast<long>(rng.NextBounded(n)));
     for (double& v : q) v += rng.Gaussian(0.0, 0.02);
     ZNormalize(&q);
-    const auto via_index = index.NearestNeighbor(q);
+    const auto via_index = index.Search(q);
     const auto via_scan = engine.Search(q);
     EXPECT_EQ(via_index.best_index, via_scan.best_index);
     EXPECT_NEAR(via_index.best_distance, via_scan.best_distance, 1e-9);

@@ -8,7 +8,8 @@
 ///    and the first stage sees every leave-one-out candidate;
 ///  * deterministic batch merge — 1-thread and N-thread batches produce
 ///    identical merged counters (wall-clock and latency excepted);
-///  * the disk index's signature/fetch/refine stages obey the same rules.
+///  * the signature index's signature/fetch/terminal stages obey the same
+///    rules over the simulated disk.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +20,6 @@
 
 #include "src/core/flat_dataset.h"
 #include "src/datasets/synthetic.h"
-#include "src/index/candidate_scan.h"
 #include "src/obs/metrics.h"
 #include "src/search/engine.h"
 
@@ -37,6 +37,9 @@ std::vector<CascadeSpec> MakeCascades(DistanceKind kind) {
   out.push_back({{StageKind::kLbImproved, StageKind::kExactScan}});
   out.push_back({{StageKind::kVecSignature, StageKind::kFftMagnitude,
                   StageKind::kLbImproved, StageKind::kExactScan}});
+  out.push_back({{StageKind::kSignatureIndex, StageKind::kWedge}});
+  out.push_back({{StageKind::kSignatureIndex, StageKind::kLbImproved,
+                  StageKind::kExactScan}});
   return out;
 }
 
@@ -45,6 +48,7 @@ std::string CascadeName(const CascadeSpec& spec) {
   for (StageKind s : spec.stages) {
     if (!name.empty()) name += "+";
     switch (s) {
+      case StageKind::kSignatureIndex: name += "index"; break;
       case StageKind::kFftMagnitude: name += "fft"; break;
       case StageKind::kVecSignature: name += "vecsig"; break;
       case StageKind::kLbImproved: name += "lbi"; break;
@@ -210,48 +214,55 @@ INSTANTIATE_TEST_SUITE_P(Kinds, ObsEngineTest,
 
 class ObsIndexTest : public ::testing::TestWithParam<DistanceKind> {};
 
+EngineOptions IndexOptions(DistanceKind kind) {
+  EngineOptions options;
+  options.kind = kind;
+  options.band = 4;
+  options.cascade.stages = {StageKind::kSignatureIndex, StageKind::kWedge};
+  options.index_dims = 8;
+  options.storage.backend = storage::BackendKind::kSimulated;
+  return options;
+}
+
 TEST_P(ObsIndexTest, IndexStagesObeyTheSameLedgerRules) {
   const DistanceKind kind = GetParam();
   const std::vector<Series> db = MakeProjectilePointsDatabase(30, 40, 404);
-  RotationInvariantIndex::Options opts;
-  opts.kind = kind;
-  opts.dims = 8;
-  opts.band = 4;
-  auto created = RotationInvariantIndex::Create(db, opts);
-  ASSERT_TRUE(created.ok()) << created.status().ToString();
-  RotationInvariantIndex& index = **created;
+  const FlatDataset flat = FlatDataset::FromItems(db);
+  const QueryEngine index(flat, IndexOptions(kind));
 
   const Series query = db[5];
-  const RotationInvariantIndex::Result plain = index.NearestNeighbor(query);
+  const ScanResult plain = index.Search(query);
   obs::QueryMetrics m;
-  const RotationInvariantIndex::Result inst =
-      index.NearestNeighbor(query, &m);
+  const ScanResult inst = index.Search(query, &m);
 
   // Bit-identical with metrics attached.
   EXPECT_EQ(inst.best_index, plain.best_index);
   EXPECT_EQ(inst.best_distance, plain.best_distance);
   EXPECT_EQ(inst.counter.total_steps(), plain.counter.total_steps());
-  EXPECT_EQ(inst.object_fetches, plain.object_fetches);
 
-  // Exact attribution across signature/fetch/refine stages.
+  // Exact attribution across signature/fetch/terminal stages.
   EXPECT_EQ(m.attributed_total_steps(), inst.counter.total_steps());
 
   const obs::StageStats& sig = m.stage(obs::StageId::kSignatureFilter);
   const obs::StageStats& fetch = m.stage(obs::StageId::kDiskFetch);
-  const obs::StageStats& refine = m.stage(obs::StageId::kRefine);
+  const obs::StageStats& refine = m.stage(obs::StageId::kWedge);
   EXPECT_TRUE(sig.used);
   EXPECT_TRUE(refine.used);
+  // The signature work (query transform, bound evaluations) is its own.
+  EXPECT_GT(sig.total_steps(), 0u);
   EXPECT_EQ(sig.candidates_entered, db.size());
   EXPECT_EQ(sig.candidates_entered,
             sig.candidates_pruned + sig.candidates_survived);
-  // Every signature-filter survivor is fetched exactly once and refined.
+  // Every signature-stage survivor is fetched exactly once and refined by
+  // the terminal.
   EXPECT_EQ(sig.candidates_survived, fetch.candidates_entered);
-  EXPECT_EQ(fetch.candidates_entered, inst.object_fetches);
+  EXPECT_EQ(fetch.candidates_entered, m.index.object_fetches);
   EXPECT_EQ(refine.candidates_entered, m.index.refinements);
+  EXPECT_EQ(refine.candidates_entered, sig.candidates_survived);
   EXPECT_EQ(refine.candidates_entered,
             refine.candidates_pruned + refine.candidates_survived);
-  EXPECT_EQ(m.index.object_fetches, inst.object_fetches);
-  EXPECT_EQ(m.index.page_reads, inst.page_reads);
+  EXPECT_EQ(m.index.page_reads, fetch.pages_read);
+  EXPECT_GT(m.index.page_reads, 0u);
   EXPECT_EQ(m.index.candidates_pruned, sig.candidates_pruned);
   EXPECT_GT(m.index.signature_evals, 0u);
   EXPECT_EQ(m.queries, 1u);
@@ -261,21 +272,24 @@ TEST_P(ObsIndexTest, IndexStagesObeyTheSameLedgerRules) {
 TEST_P(ObsIndexTest, KnnAttributesExactly) {
   const DistanceKind kind = GetParam();
   const std::vector<Series> db = MakeProjectilePointsDatabase(26, 36, 405);
-  RotationInvariantIndex::Options opts;
-  opts.kind = kind;
-  opts.dims = 8;
-  opts.band = 4;
-  auto created = RotationInvariantIndex::Create(db, opts);
-  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  const FlatDataset flat = FlatDataset::FromItems(db);
+  const QueryEngine index(flat, IndexOptions(kind));
 
-  RotationInvariantIndex::Result stats;
+  StepCounter counter;
   obs::QueryMetrics m;
-  const auto knn = (*created)->KNearestNeighbors(db[2], 3, &stats, &m);
+  const auto knn = index.Knn(db[2], 3, &counter, &m);
   ASSERT_EQ(knn.size(), 3u);
-  EXPECT_EQ(m.attributed_total_steps(), stats.counter.total_steps());
-  EXPECT_EQ(m.index.object_fetches, stats.object_fetches);
+  EXPECT_EQ(m.attributed_total_steps(), counter.total_steps());
+  EXPECT_EQ(m.index.object_fetches,
+            m.stage(obs::StageId::kDiskFetch).candidates_entered);
   EXPECT_EQ(m.stage(obs::StageId::kSignatureFilter).candidates_entered,
             db.size());
+
+  // Leave-one-out: the held-out object is not a candidate at all.
+  obs::QueryMetrics loo;
+  (void)index.KnnLeaveOneOut(db[2], 3, 2, nullptr, &loo);
+  EXPECT_EQ(loo.stage(obs::StageId::kSignatureFilter).candidates_entered,
+            db.size() - 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, ObsIndexTest,

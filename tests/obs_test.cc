@@ -22,7 +22,8 @@ TEST(ObsStageTest, StageNamesAreStable) {
   EXPECT_STREQ(StageName(StageId::kFullScanBanded), "full_scan_banded");
   EXPECT_STREQ(StageName(StageId::kSignatureFilter), "signature_filter");
   EXPECT_STREQ(StageName(StageId::kDiskFetch), "disk_fetch");
-  EXPECT_STREQ(StageName(StageId::kRefine), "refine");
+  EXPECT_STREQ(StageName(StageId::kLbImproved), "lb_improved");
+  EXPECT_STREQ(StageName(StageId::kVecSignature), "vec_signature");
 }
 
 TEST(ObsStageTest, StageStatsAccumulate) {
@@ -137,7 +138,7 @@ TEST(ObsQueryMetricsTest, AttributedTotalSumsAllStages) {
   m.stage(StageId::kFftFilter).steps = 100;
   m.stage(StageId::kFftFilter).setup_steps = 10;
   m.stage(StageId::kWedge).steps = 1000;
-  m.stage(StageId::kRefine).setup_steps = 5;
+  m.stage(StageId::kSignatureFilter).setup_steps = 5;
   EXPECT_EQ(m.attributed_total_steps(), 1115u);
 }
 

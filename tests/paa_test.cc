@@ -1,4 +1,4 @@
-#include "src/index/paa.h"
+#include "src/search/paa.h"
 
 #include <cmath>
 

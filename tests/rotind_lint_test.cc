@@ -134,7 +134,7 @@ TEST(RotindLintTest, DetectsStorageIncludingItsConsumers) {
   const std::vector<SourceFile> files = {
       {"src/storage/bad_search.cc", "#include \"src/search/engine.h\"\n"},
       {"src/storage/bad_index.cc",
-       "#include \"src/index/candidate_scan.h\"\n"},
+       "#include \"src/index/sharded_index.h\"\n"},
       // storage is below obs too: I/O accounting flows up via FetchStats,
       // never by storage reaching into the metrics registry.
       {"src/storage/bad_obs.cc", "#include \"src/obs/metrics.h\"\n"},

@@ -1,11 +1,12 @@
 /// Blocked (SoA, 8-candidates-at-a-time) cascade terminals vs the
-/// per-candidate scalar path. The blocked full-scan ED terminal claims to
-/// be OBSERVATIONALLY IDENTICAL — same answers, same step counts, same
+/// per-candidate path. The blocked full-scan ED terminal claims to be
+/// OBSERVATIONALLY IDENTICAL — same answers, same step counts, same
 /// per-stage attribution — so this file holds it to == on all three, across
 /// database sizes straddling the 8-lane tile width, holdout positions in
 /// every tile group, mirror invariance, and rotation-limited queries. The
-/// opt-in blocked early-abandon terminal only promises identical answers;
-/// it is checked to exactly that weaker contract.
+/// per-candidate reference is an engine over a backend that exposes no
+/// resident tiles (a fault-injecting decorator with nothing scheduled), so
+/// every candidate is fetched and scored one at a time.
 
 #include <cstdint>
 #include <memory>
@@ -18,6 +19,7 @@
 #include "src/datasets/synthetic.h"
 #include "src/obs/metrics.h"
 #include "src/search/engine.h"
+#include "src/storage/backend.h"
 
 namespace rotind {
 namespace {
@@ -31,20 +33,18 @@ EngineOptions FullScanOptions(bool mirror, int max_shift) {
   return options;
 }
 
-/// The two engines under comparison: identical except for the blocked
-/// terminal toggle.
+/// The two engines under comparison: identical options, but only the
+/// first backend exposes the resident tiles the blocked driver reads (the
+/// in-memory decorator keeps the kInMemory kind, so both report the same
+/// metrics shape).
 struct EnginePair {
-  EnginePair(const FlatDataset& flat, EngineOptions options)
-      : blocked_options(options), scalar_options(options) {
-    blocked_options.simd.blocked_full_scan = true;
-    blocked_options.simd.blocked_early_abandon = true;
-    scalar_options.simd.blocked_full_scan = false;
-    scalar_options.simd.blocked_early_abandon = false;
-    blocked = std::make_unique<QueryEngine>(flat, blocked_options);
-    scalar = std::make_unique<QueryEngine>(flat, scalar_options);
-  }
-  EngineOptions blocked_options;
-  EngineOptions scalar_options;
+  EnginePair(const FlatDataset& flat, const EngineOptions& options)
+      : blocked(std::make_unique<QueryEngine>(flat, options)),
+        scalar(std::make_unique<QueryEngine>(
+            std::make_unique<storage::FaultInjectingBackend>(
+                std::make_unique<storage::InMemoryBackend>(flat),
+                storage::FaultScheduleSpec{}),
+            options)) {}
   std::unique_ptr<QueryEngine> blocked;
   std::unique_ptr<QueryEngine> scalar;
 };
@@ -150,43 +150,6 @@ TEST(SimdEngineTest, BlockedFullScanMatchesUnderRotationLimits) {
   }
 }
 
-/// The opt-in blocked early-abandon terminal: identical ANSWERS (lanes
-/// abandon against the block-entry threshold, so step counts may drift —
-/// that is exactly why it is opt-in and excluded from counter parity).
-TEST(SimdEngineTest, BlockedEarlyAbandonReturnsIdenticalAnswers) {
-  for (std::size_t m : {5u, 16u, 19u}) {
-    const std::vector<Series> items =
-        MakeProjectilePointsDatabase(m, 41, 811 + static_cast<int>(m));
-    const FlatDataset flat = FlatDataset::FromItems(items);
-    EngineOptions options;
-    options.kind = DistanceKind::kEuclidean;
-    options.cascade.stages = {StageKind::kExactScan};
-    for (bool mirror : {false, true}) {
-      options.rotation.mirror = mirror;
-      EnginePair pair(flat, options);
-      for (std::size_t qi : {std::size_t{0}, m - 1}) {
-        const std::string label = "m=" + std::to_string(m) +
-                                  (mirror ? " mirror" : "") + " q" +
-                                  std::to_string(qi);
-        const ScanResult got =
-            pair.blocked->SearchLeaveOneOut(items[qi], qi);
-        const ScanResult ref = pair.scalar->SearchLeaveOneOut(items[qi], qi);
-        EXPECT_EQ(got.best_index, ref.best_index) << label;
-        EXPECT_EQ(got.best_distance, ref.best_distance) << label;
-
-        const auto knn = pair.blocked->KnnLeaveOneOut(items[qi], 3, qi);
-        const auto ref_knn = pair.scalar->KnnLeaveOneOut(items[qi], 3, qi);
-        ASSERT_EQ(knn.size(), ref_knn.size()) << label;
-        for (std::size_t r = 0; r < knn.size(); ++r) {
-          EXPECT_EQ(knn[r].index, ref_knn[r].index) << label << " rank " << r;
-          EXPECT_EQ(knn[r].distance, ref_knn[r].distance)
-              << label << " rank " << r;
-        }
-      }
-    }
-  }
-}
-
 /// A cascade with an FFT filter in front cannot take the blocked path (it
 /// would bypass the filter); the engine must silently fall back and still
 /// agree. This guards SupportsBlocked(), not the kernels.
@@ -208,7 +171,7 @@ TEST(SimdEngineTest, FilteredCascadeFallsBackAndAgrees) {
 }
 
 /// DTW terminals never take the blocked path (the blocked kernels are
-/// ED-only); the toggle must be a no-op there.
+/// ED-only); whether tiles are available must not matter there.
 TEST(SimdEngineTest, DtwCascadeUnaffectedByBlockedToggle) {
   const std::vector<Series> items = MakeProjectilePointsDatabase(11, 30, 883);
   const FlatDataset flat = FlatDataset::FromItems(items);

@@ -74,7 +74,6 @@ TEST(SimdDispatchTest, TablesAreFullyPopulated) {
     EXPECT_NE(k.lb_keogh_sq, nullptr);
     EXPECT_NE(k.lb_keogh_proj_sq, nullptr);
     EXPECT_NE(k.ed_block_full, nullptr);
-    EXPECT_NE(k.ed_block_ea, nullptr);
     EXPECT_NE(k.env_merge, nullptr);
     EXPECT_NE(k.env_merge_series, nullptr);
     EXPECT_NE(k.dtw_row, nullptr);
@@ -289,40 +288,6 @@ TEST_F(SimdParityTest, EdBlockFullMatchesBitForBit) {
         }
         EXPECT_TRUE(BitEqual(ss[l], acc)) << "n=" << n << " lane=" << l;
       }
-    }
-  }
-}
-
-TEST_F(SimdParityTest, EdBlockEarlyAbandonMatchesBitForBit) {
-  Rng rng(109);
-  for (std::size_t n : kLengths) {
-    const std::vector<double> q = RandomSeries(&rng, n, 1.0);
-    const std::vector<double> tile = MakeTile(&rng, n, kBlockLanes);
-    double full[kBlockLanes];
-    scalar_.ed_block_full(q.data(), tile.data(), n, full);
-    // Per-lane limits spanning never-abandons to abandons-at-once, plus a
-    // negative limit (lane 6) and an exact-sum limit (lane 3: surviving on
-    // `>` being strict).
-    const double scales[kBlockLanes] = {kInf, 1.5, 1.0, 1.0,
-                                        0.5,  0.1, 0.0, 0.0};
-    double limits[kBlockLanes];
-    for (std::size_t l = 0; l < kBlockLanes; ++l) {
-      limits[l] = std::isinf(scales[l]) ? kInf : full[l] * scales[l];
-    }
-    limits[6] = -1.0;
-    double ss[kBlockLanes];
-    double vs[kBlockLanes];
-    std::uint64_t s_steps[kBlockLanes];
-    std::uint64_t v_steps[kBlockLanes];
-    unsigned s_ab = 0;
-    unsigned v_ab = 0;
-    scalar_.ed_block_ea(q.data(), tile.data(), n, limits, ss, s_steps,
-                        &s_ab);
-    avx2_.ed_block_ea(q.data(), tile.data(), n, limits, vs, v_steps, &v_ab);
-    EXPECT_EQ(s_ab, v_ab) << "n=" << n;
-    for (std::size_t l = 0; l < kBlockLanes; ++l) {
-      EXPECT_TRUE(BitEqual(ss[l], vs[l])) << "n=" << n << " lane=" << l;
-      EXPECT_EQ(s_steps[l], v_steps[l]) << "n=" << n << " lane=" << l;
     }
   }
 }

@@ -319,7 +319,6 @@ TEST(FaultInjectingBackendTest, BlockedCascadeStillFetchesThroughDecorator) {
 
   EngineOptions options;
   options.cascade.stages = {StageKind::kFullScan};
-  ASSERT_TRUE(options.simd.blocked_full_scan);
   const QueryEngine engine(std::move(faulty), options);
   const Series query(flat.data(0), flat.data(0) + flat.length());
   const auto checked = engine.SearchChecked(query);

@@ -1,6 +1,8 @@
-#include "src/index/vptree.h"
+#include "src/search/vptree.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -27,8 +29,36 @@ double L2(const std::vector<double>& a, const std::vector<double>& b) {
   return std::sqrt(acc);
 }
 
+/// Exact 1-NN over the single traversal, the way a caller drives it: a
+/// best-so-far threshold, and a visit that computes the true distance.
+struct Nn {
+  int best_id = -1;
+  double best_distance = std::numeric_limits<double>::infinity();
+  std::uint64_t metric_evals = 0;
+  std::uint64_t visits = 0;
+};
+
+template <typename TrueDistance>
+Nn NearestNeighbor(const VpTree& tree, const std::vector<double>& q,
+                   const TrueDistance& true_distance,
+                   StepCounter* counter = nullptr) {
+  Nn nn;
+  const auto threshold = [&] { return nn.best_distance; };
+  const auto visit = [&](int id) {
+    ++nn.visits;
+    const double d = true_distance(id);
+    if (d < nn.best_distance) {
+      nn.best_distance = d;
+      nn.best_id = id;
+    }
+    return true;
+  };
+  nn.metric_evals = tree.Search(q, threshold, visit, counter);
+  return nn;
+}
+
 TEST(VpTreeTest, ExactNnUnderPureMetric) {
-  // refine == the metric itself: the tree must find the true L2 NN.
+  // True distance == the metric itself: the tree must find the L2 NN.
   Rng rng(1);
   for (int trial = 0; trial < 10; ++trial) {
     const std::size_t m = 50 + rng.NextBounded(100);
@@ -37,10 +67,9 @@ TEST(VpTreeTest, ExactNnUnderPureMetric) {
     VpTree tree(pts, /*seed=*/trial);
 
     const auto q = RandomPoints(&rng, 1, dims)[0];
-    const auto refine = [&](int id, double) {
+    const Nn r = NearestNeighbor(tree, q, [&](int id) {
       return L2(pts[static_cast<std::size_t>(id)], q);
-    };
-    const VpTree::Result r = tree.NearestNeighbor(q, refine);
+    });
 
     int expected = 0;
     double best = L2(pts[0], q);
@@ -74,11 +103,7 @@ TEST(VpTreeTest, ExactNnWhenTrueDistanceExceedsMetric) {
       return L2(pts[static_cast<std::size_t>(id)], q) *
              stretch[static_cast<std::size_t>(id)];
     };
-    const auto refine = [&](int id, double threshold) {
-      const double d = true_dist(id);
-      return d < threshold ? d : std::numeric_limits<double>::infinity();
-    };
-    const VpTree::Result r = tree.NearestNeighbor(q, refine);
+    const Nn r = NearestNeighbor(tree, q, true_dist);
 
     double best = std::numeric_limits<double>::infinity();
     int expected = -1;
@@ -94,32 +119,28 @@ TEST(VpTreeTest, ExactNnWhenTrueDistanceExceedsMetric) {
 }
 
 TEST(VpTreeTest, PrunesRefineCalls) {
-  // On clustered data the tree should refine far fewer than m objects.
+  // On clustered data the tree should visit far fewer than m objects.
   Rng rng(3);
   const std::size_t m = 500;
   const std::size_t dims = 4;
   auto pts = RandomPoints(&rng, m, dims);
   VpTree tree(pts, 11);
   const auto q = pts[42];  // query equal to a stored point
-  const auto refine = [&](int id, double threshold) {
-    const double d = L2(pts[static_cast<std::size_t>(id)], q);
-    return d < threshold ? d : std::numeric_limits<double>::infinity();
-  };
-  const VpTree::Result r = tree.NearestNeighbor(q, refine);
+  const Nn r = NearestNeighbor(tree, q, [&](int id) {
+    return L2(pts[static_cast<std::size_t>(id)], q);
+  });
   EXPECT_EQ(r.best_id, 42);
-  EXPECT_LT(r.refine_calls, m / 2);
+  EXPECT_LT(r.visits, m / 2);
 }
 
 TEST(VpTreeTest, SinglePointAndEmpty) {
   VpTree empty({}, 1);
-  const VpTree::Result none = empty.NearestNeighbor(
-      {}, [](int, double) { return 0.0; });
+  const Nn none = NearestNeighbor(empty, {}, [](int) { return 0.0; });
   EXPECT_EQ(none.best_id, -1);
+  EXPECT_EQ(none.metric_evals, 0u);
 
   VpTree one({{1.0, 2.0}}, 1);
-  const VpTree::Result r = one.NearestNeighbor(
-      {1.0, 2.5},
-      [&](int, double) { return 0.5; });
+  const Nn r = NearestNeighbor(one, {1.0, 2.5}, [](int) { return 0.5; });
   EXPECT_EQ(r.best_id, 0);
   EXPECT_DOUBLE_EQ(r.best_distance, 0.5);
 }
@@ -129,11 +150,9 @@ TEST(VpTreeTest, DuplicatePointsHandled) {
   pts[13] = {5.0, 5.0};
   VpTree tree(pts, 3);
   const std::vector<double> q = {5.1, 5.1};
-  const auto refine = [&](int id, double threshold) {
-    const double d = L2(pts[static_cast<std::size_t>(id)], q);
-    return d < threshold ? d : std::numeric_limits<double>::infinity();
-  };
-  const VpTree::Result r = tree.NearestNeighbor(q, refine);
+  const Nn r = NearestNeighbor(tree, q, [&](int id) {
+    return L2(pts[static_cast<std::size_t>(id)], q);
+  });
   EXPECT_EQ(r.best_id, 13);
 }
 
@@ -143,11 +162,48 @@ TEST(VpTreeTest, CounterChargesMetricEvals) {
   VpTree tree(pts, 5);
   const auto q = RandomPoints(&rng, 1, 8)[0];
   StepCounter counter;
-  const VpTree::Result r = tree.NearestNeighbor(
-      q,
-      [&](int id, double) { return L2(pts[static_cast<std::size_t>(id)], q); },
+  const Nn r = NearestNeighbor(
+      tree, q,
+      [&](int id) { return L2(pts[static_cast<std::size_t>(id)], q); },
       &counter);
+  EXPECT_GT(r.metric_evals, 0u);
   EXPECT_EQ(counter.steps, r.metric_evals * 8);
+}
+
+/// The caller's threshold alone decides what is visited: with a fixed
+/// radius, every point whose metric distance is below it is visited
+/// exactly once and nothing else is (a range query under a pure metric).
+TEST(VpTreeTest, FixedThresholdVisitsExactlyThePointsInside) {
+  Rng rng(5);
+  const auto pts = RandomPoints(&rng, 200, 3);
+  VpTree tree(pts, 9);
+  const auto q = RandomPoints(&rng, 1, 3)[0];
+  const double radius = 1.0;
+  std::vector<int> visited;
+  const auto visit = [&](int id) {
+    visited.push_back(id);
+    return true;
+  };
+  tree.Search(q, [&] { return radius; }, visit);
+  std::vector<int> inside;
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    if (L2(pts[i], q) < radius) inside.push_back(static_cast<int>(i));
+  }
+  std::sort(visited.begin(), visited.end());
+  EXPECT_EQ(visited, inside);
+  EXPECT_FALSE(inside.empty());
+}
+
+/// A visit returning false ends the traversal at once.
+TEST(VpTreeTest, VisitCanStopTheTraversal) {
+  Rng rng(6);
+  const auto pts = RandomPoints(&rng, 100, 4);
+  VpTree tree(pts, 3);
+  const auto q = RandomPoints(&rng, 1, 4)[0];
+  int visits = 0;
+  const auto unbounded = [] { return std::numeric_limits<double>::infinity(); };
+  tree.Search(q, unbounded, [&](int) { return ++visits < 5; });
+  EXPECT_EQ(visits, 5);
 }
 
 }  // namespace
