@@ -19,6 +19,7 @@
 /// Scale: ROTIND_BENCH_SCALE=full for paper-sized inputs.
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -141,27 +142,35 @@ int Run(int argc, char** argv) {
                    static_cast<unsigned long long>(row.total_steps));
       attribution_exact = false;
     }
-    // Per-stage pruning power: what fraction of the candidates entering
-    // each stage it removed — the paper's Figure 19-23 metric, per stage
-    // instead of per cascade. Terminals never prune (they decide), so
-    // only stages that pruned at least once are shown.
-    std::string pruning;
+    // Per stage: its pruning power — what fraction of the candidates
+    // entering it it removed, the paper's Figure 19-23 metric per stage
+    // instead of per cascade, shown only for stages that pruned at least
+    // once — and its wall time per charged step (steps + setup_steps), so
+    // a stage whose cost model and wall time disagree stands out.
+    std::string stages;
     for (std::size_t s = 0; s < obs::kNumStages; ++s) {
       const obs::StageStats& st = row.metrics.stages[s];
-      if (!st.used || st.candidates_entered == 0 ||
-          st.candidates_pruned == 0) {
-        continue;
-      }
+      if (!st.used || st.candidates_entered == 0) continue;
+      stages += "  ";
+      stages += obs::StageName(static_cast<obs::StageId>(s));
+      stages += "=";
       char cell[64];
-      std::snprintf(cell, sizeof cell, "  %s=%.1f%%",
-                    obs::StageName(static_cast<obs::StageId>(s)),
-                    100.0 * static_cast<double>(st.candidates_pruned) /
-                        static_cast<double>(st.candidates_entered));
-      pruning += cell;
+      if (st.candidates_pruned != 0) {
+        std::snprintf(cell, sizeof cell, "%.1f%% ",
+                      100.0 * static_cast<double>(st.candidates_pruned) /
+                          static_cast<double>(st.candidates_entered));
+        stages += cell;
+      }
+      const std::uint64_t steps = st.total_steps();
+      std::snprintf(cell, sizeof cell, "%.2fns/step",
+                    steps == 0 ? 0.0
+                               : static_cast<double>(st.wall_nanos) /
+                                     static_cast<double>(steps));
+      stages += cell;
     }
     std::printf("  %-40s %14llu steps  %8.3f s%s\n", row.name.c_str(),
                 static_cast<unsigned long long>(row.total_steps),
-                row.wall_seconds, pruning.c_str());
+                row.wall_seconds, stages.c_str());
   }
 
   // Batch driver scaling: the same wedge workload at 1 thread vs the

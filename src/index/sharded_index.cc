@@ -489,9 +489,8 @@ StatusOr<std::vector<Neighbor>> ShardedIndex::RangeParallel(
   Status io = TakeShardError(*snap);
   if (!io.ok()) return io;
 
-  // Restore monolithic scan order (live-ordinal), then apply the exact
-  // sort RangeCollector::Take applies — same comparator over the same
-  // sequence, so the result is bit-identical to the serial path.
+  // The serial path's one sort over live ordinals: (distance, ordinal) is
+  // a total order, so the result is bit-identical to it.
   std::vector<Neighbor> merged;
   for (std::size_t i = 0; i < parts.size(); ++i) {
     if (counter != nullptr) *counter += counters[i];
@@ -502,14 +501,7 @@ StatusOr<std::vector<Neighbor>> ShardedIndex::RangeParallel(
       merged.push_back(mapped);
     }
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const Neighbor& a, const Neighbor& b) {
-              return a.index < b.index;
-            });
-  std::sort(merged.begin(), merged.end(),
-            [](const Neighbor& a, const Neighbor& b) {
-              return a.distance < b.distance;
-            });
+  SortRangeHits(&merged);
   for (Neighbor& n : merged) {
     n.index =
         static_cast<int>(snap->global_ids[static_cast<std::size_t>(n.index)]);

@@ -204,7 +204,8 @@ class ShardedIndex {
       const Series& query, int k, StepCounter* counter = nullptr,
       obs::QueryMetrics* metrics = nullptr) const;
 
-  /// Range query over all live rows, ascending by distance, global ids.
+  /// Range query over all live rows, ascending by distance (equal
+  /// distances by live ordinal, on both search modes), global ids.
   [[nodiscard]] StatusOr<std::vector<Neighbor>> Range(
       const Series& query, double radius, StepCounter* counter = nullptr,
       obs::QueryMetrics* metrics = nullptr) const;

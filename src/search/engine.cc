@@ -5,6 +5,7 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <exception>
 #include <limits>
 #include <memory>
@@ -79,62 +80,166 @@ class FilterStage {
   virtual obs::StageId stage_id() const = 0;
 };
 
+/// The candidate side of a VecSignature filter stage: one count x dims
+/// row-major matrix of MakeVecSignature rows, shared by every query of an
+/// engine. Either borrowed from RIDX v2 stored rows (every row ready from
+/// the start, charged dims steps per candidate) or owned and filled
+/// lazily, charged n*log2(n) per candidate as in paper Section 5.3 whether
+/// the row was already there or not. A lazy row is embedded by the first
+/// query that reaches its candidate, from the bytes that query already
+/// fetched, so the memo adds no I/O; each row moves empty -> writing ->
+/// ready through its own atomic claim (release on publish, acquire on
+/// read), and a query that loses the claim uses its own copy instead of
+/// waiting. The stored rows were produced by the same MakeVecSignature
+/// over the same candidate bytes, so all three sources give bit-identical
+/// rows.
+class SignatureRowMemo {
+ public:
+  /// Borrows `stored` (count x stored.dims over series of length n; the
+  /// rows outlive the memo).
+  static SignatureRowMemo Stored(storage::SignatureRows stored,
+                                 std::size_t n) {
+    SignatureRowMemo memo(n, stored.dims, stored.dims);
+    memo.stored_ = stored.rows;
+    return memo;
+  }
+
+  /// An empty memo of `count` candidates of length n >= 2 at `dims` bands
+  /// (in [1, n/2]).
+  static SignatureRowMemo Lazy(std::size_t count, std::size_t n,
+                               std::size_t dims) {
+    SignatureRowMemo memo(n, dims, FftStepCost(n));
+    memo.rows_ = std::make_unique_for_overwrite<double[]>(count * dims);
+    // Value-initialized: every claim starts kEmpty.
+    memo.claims_ = std::make_unique<std::atomic<std::uint8_t>[]>(count);
+    return memo;
+  }
+
+  /// Length of the series the rows embed.
+  std::size_t length() const { return n_; }
+  std::size_t dims() const { return dims_; }
+  /// Steps charged per candidate, hit or miss.
+  std::uint64_t step_cost() const { return step_cost_; }
+
+  /// Candidate `index`'s row. `c` is its series (length n), embedded when
+  /// the row is not ready yet; `scratch` holds the row when another query
+  /// holds the claim. Safe to call concurrently.
+  const double* Row(std::size_t index, const double* c,
+                    std::vector<double>* scratch) const {
+    if (stored_ != nullptr) return stored_ + index * dims_;
+    double* row = rows_.get() + index * dims_;
+    std::atomic<std::uint8_t>& claim = claims_[index];
+    if (claim.load(std::memory_order_acquire) == kReady) return row;
+    VecSignature sig = MakeVecSignature(Series(c, c + n_), dims_);
+    std::uint8_t expected = kEmpty;
+    // The claim itself orders nothing: only the release below publishes.
+    if (claim.compare_exchange_strong(expected, kWriting,
+                                      std::memory_order_relaxed)) {
+      std::copy(sig.values.begin(), sig.values.end(), row);
+      claim.store(kReady, std::memory_order_release);
+      return row;
+    }
+    *scratch = std::move(sig.values);
+    return scratch->data();
+  }
+
+ private:
+  static constexpr std::uint8_t kEmpty = 0;
+  static constexpr std::uint8_t kWriting = 1;
+  static constexpr std::uint8_t kReady = 2;
+
+  SignatureRowMemo(std::size_t n, std::size_t dims, std::uint64_t step_cost)
+      : n_(n), dims_(dims), step_cost_(step_cost) {}
+
+  std::size_t n_;
+  std::size_t dims_;
+  std::uint64_t step_cost_;
+  const double* stored_ = nullptr;
+  std::unique_ptr<double[]> rows_;
+  std::unique_ptr<std::atomic<std::uint8_t>[]> claims_;
+};
+
+/// The memo a spectral filter stage reads for queries of length n over
+/// `backend`'s candidates: for kVecSignature, the backend's stored RIDX v2
+/// rows when their dimensionality fits the pooled space (dims <= n/2, or
+/// the two sides of the distance would be incomparable), else an empty
+/// lazy memo at dims = clamp(vec_sig_dims, 1, n/2); for kFftMagnitude, an
+/// empty lazy memo at n/2 — it never reads stored rows, which would charge
+/// dims steps per candidate instead of the paper's n*log2(n). None when
+/// n < 2: no spectrum to pool.
+std::unique_ptr<SignatureRowMemo> MemoFor(
+    StageKind kind, const storage::StorageBackend& backend,
+    const EngineOptions& options, std::size_t n) {
+  if (n < 2) return nullptr;
+  if (kind == StageKind::kFftMagnitude) {
+    return std::make_unique<SignatureRowMemo>(
+        SignatureRowMemo::Lazy(backend.size(), n, n / 2));
+  }
+  const storage::SignatureRows stored = backend.stored_signatures();
+  if (stored.rows != nullptr && stored.dims <= n / 2 &&
+      n == backend.length()) {
+    return std::make_unique<SignatureRowMemo>(
+        SignatureRowMemo::Stored(stored, n));
+  }
+  return std::make_unique<SignatureRowMemo>(SignatureRowMemo::Lazy(
+      backend.size(), n,
+      std::min(std::max<std::size_t>(options.vec_sig_dims, 1), n / 2)));
+}
+
+}  // namespace
+
+/// What a QueryEngine's cascade stages keep across queries; each member is
+/// set only when the normalized cascade holds its stage.
+struct CascadeState {
+  /// kSignatureIndex: built once, immutable.
+  std::shared_ptr<const SignatureIndex> index;
+  /// kVecSignature and kFftMagnitude: internally synchronized.
+  std::unique_ptr<SignatureRowMemo> vec_rows;
+  std::unique_ptr<SignatureRowMemo> fft_rows;
+};
+
+namespace {
+
 /// Band-pooled rotation/mirror-invariant vector pre-filter (the VecSignature
 /// embedding): ||v(Q) - v(C)||_2 <= RED(Q, C), sound for Euclidean only.
-/// Two candidate paths with bit-identical distances: stored RIDX v2 rows
-/// (an O(dims) resident lookup) or an on-the-fly embedding (one FFT,
-/// charged n*log2(n) steps as in paper Section 5.3) — identical because the
-/// stored rows were produced by the same MakeVecSignature over the same
-/// candidate bytes. At dims = n/2 every band holds one bin, and the
-/// distance equals the paper's FFT-magnitude bound bit-for-bit, so this
-/// class also serves StageKind::kFftMagnitude.
+/// The query is embedded once at setup; each candidate's row comes from
+/// the stage's SignatureRowMemo. At dims = n/2 every band holds one bin,
+/// and the distance equals the paper's FFT-magnitude bound bit-for-bit, so
+/// this class also serves StageKind::kFftMagnitude.
 class VecSignatureFilter final : public FilterStage {
  public:
-  VecSignatureFilter(const Series& query, std::size_t dims,
-                     storage::SignatureRows stored, obs::StageId stage_id,
-                     StepCounter* counter)
-      : n_(query.size()), rows_(stored.rows), stage_id_(stage_id) {
-    if (n_ < 2) return;  // no spectrum to pool; Prune never fires
-    // The stored dimensionality is authoritative when rows exist — both
-    // sides of the distance must live in the same pooled space.
-    dims_ = rows_ != nullptr
-                ? stored.dims
-                : std::min(std::max<std::size_t>(dims, 1), n_ / 2);
-    signature_ = MakeVecSignature(query, dims_);
-    AddSetupSteps(counter, FftStepCost(n_));
+  /// `rows` is null when the series are too short to embed (n < 2); Prune
+  /// then never fires.
+  VecSignatureFilter(const Series& query, const SignatureRowMemo* rows,
+                     obs::StageId stage_id, StepCounter* counter)
+      : rows_(rows), stage_id_(stage_id) {
+    if (rows_ == nullptr) return;
+    signature_ = MakeVecSignature(query, rows_->dims());
+    AddSetupSteps(counter, FftStepCost(query.size()));
   }
 
   bool Prune(std::size_t index, const double* c, double threshold,
              StepCounter* counter) const override {
     if (counter != nullptr) ++counter->lower_bound_evals;
-    if (n_ < 2) return false;
-    double d;
-    if (rows_ != nullptr) {
-      // Same accumulation order as VecSignatureDistance (query minus
-      // candidate, ascending band), so the two paths agree bit-for-bit.
-      const double* row = rows_ + index * dims_;
-      double acc = 0.0;
-      for (std::size_t b = 0; b < dims_; ++b) {
-        const double diff = signature_.values[b] - row[b];
-        acc += diff * diff;
-      }
-      AddSteps(counter, dims_);
-      d = std::sqrt(acc);
-    } else {
-      AddSteps(counter, FftStepCost(n_));
-      const VecSignature sig = MakeVecSignature(Series(c, c + n_), dims_);
-      d = VecSignatureDistance(signature_, sig, nullptr);
+    if (rows_ == nullptr) return false;
+    AddSteps(counter, rows_->step_cost());
+    std::vector<double> scratch;
+    const double* row = rows_->Row(index, c, &scratch);
+    // Same accumulation order as VecSignatureDistance (query minus
+    // candidate, ascending band).
+    double acc = 0.0;
+    for (std::size_t b = 0; b < signature_.values.size(); ++b) {
+      const double diff = signature_.values[b] - row[b];
+      acc += diff * diff;
     }
-    return d >= threshold;
+    return std::sqrt(acc) >= threshold;
   }
 
   obs::StageId stage_id() const override { return stage_id_; }
 
  private:
-  std::size_t n_;
-  const double* rows_ = nullptr;  ///< count x dims_ resident matrix or null.
+  const SignatureRowMemo* rows_;
   obs::StageId stage_id_;
-  std::size_t dims_ = 0;
   VecSignature signature_;
 };
 
@@ -484,12 +589,15 @@ class ScanTerminal final : public TerminalStage {
 /// sum exactly to the query's StepCounter.
 class QueryCascade {
  public:
-  /// `stored_vec_sigs` feeds the kVecSignature filter its resident RIDX v2
-  /// rows (null → embed candidates on the fly).
+  /// The spectral filters read the engine's signature-row memos in
+  /// `state`; a query whose length differs from the database's (a
+  /// validated one can only over an empty database) gets memos of its own
+  /// over `backend`.
   QueryCascade(const Series& query, const EngineOptions& options,
                StepCounter* counter, obs::QueryMetrics* metrics,
                const CancelToken* cancel,
-               storage::SignatureRows stored_vec_sigs)
+               const storage::StorageBackend& backend,
+               const CascadeState& state)
       : metrics_(metrics), cancel_(cancel) {
     for (StageKind kind : options.cascade.stages) {
       if (IsTerminal(kind)) {
@@ -529,15 +637,17 @@ class QueryCascade {
       switch (kind) {
         case StageKind::kFftMagnitude:
         case StageKind::kVecSignature: {
-          // The FFT-magnitude bound is the full-resolution embedding
-          // (dims = n/2). It never reads stored rows: those would charge
-          // dims steps per candidate instead of the paper's n*log2(n).
-          const bool fft = kind == StageKind::kFftMagnitude;
           const obs::StageId id = StageIdFor(kind);
           StageScope scope(StatsFor(id), counter);
-          filters_.push_back(std::make_unique<VecSignatureFilter>(
-              query, fft ? query.size() / 2 : options.vec_sig_dims,
-              fft ? storage::SignatureRows{} : stored_vec_sigs, id, counter));
+          const SignatureRowMemo* rows = kind == StageKind::kFftMagnitude
+                                             ? state.fft_rows.get()
+                                             : state.vec_rows.get();
+          if (rows == nullptr || rows->length() != query.size()) {
+            own_rows_.push_back(MemoFor(kind, backend, options, query.size()));
+            rows = own_rows_.back().get();
+          }
+          filters_.push_back(
+              std::make_unique<VecSignatureFilter>(query, rows, id, counter));
           break;
         }
         case StageKind::kLbImproved: {
@@ -647,6 +757,8 @@ class QueryCascade {
   const CancelToken* cancel_;
   Status cancel_status_;
   obs::StageId terminal_id_ = obs::StageId::kExactScan;
+  /// Memos for a query the engine's do not fit (see the constructor).
+  std::vector<std::unique_ptr<SignatureRowMemo>> own_rows_;
   std::vector<std::unique_ptr<FilterStage>> filters_;
   std::unique_ptr<TerminalStage> terminal_;
 };
@@ -948,10 +1060,7 @@ class RangeCollector {
   }
 
   std::vector<Neighbor> Take() {
-    std::sort(out_.begin(), out_.end(),
-              [](const Neighbor& a, const Neighbor& b) {
-                return a.distance < b.distance;
-              });
+    SortRangeHits(&out_);
     return std::move(out_);
   }
 
@@ -980,21 +1089,6 @@ struct ScanCall {
   bool fetch_failed = false;
 };
 
-/// The RIDX v2 rows the kVecSignature filter may compare directly: the
-/// backend's stored rows when their dimensionality fits the query's pooled
-/// space (dims <= n/2, or the two embedding sides would be incomparable),
-/// else none — the filter then embeds candidates on the fly, with
-/// bit-identical distances.
-storage::SignatureRows StoredVecSigsFor(const storage::StorageBackend& backend,
-                                        std::size_t query_length) {
-  const storage::SignatureRows stored = backend.stored_signatures();
-  if (stored.rows == nullptr || query_length < 2 ||
-      stored.dims > query_length / 2) {
-    return {};
-  }
-  return stored;
-}
-
 /// The one driver behind every query kind and entry point: compiles the
 /// per-query cascade, then visits candidates in signature-index order when
 /// the engine has an index, scans the backend's resident tiles with the
@@ -1004,12 +1098,13 @@ storage::SignatureRows StoredVecSigsFor(const storage::StorageBackend& backend,
 /// this is.
 template <typename Collector>
 void RunQuery(const storage::StorageBackend& backend,
-              const EngineOptions& options, const SignatureIndex* index,
+              const EngineOptions& options, const CascadeState& state,
               const Series& query, Collector& collector, StepCounter* counter,
               ScanCall& call) {
   const QueryLatencyScope latency(call.metrics);
   QueryCascade cascade(query, options, counter, call.metrics, call.cancel,
-                       StoredVecSigsFor(backend, query.size()));
+                       backend, state);
+  const SignatureIndex* index = state.index.get();
   // Only fetches that do attributable I/O (simulated or file backend) get
   // the kDiskFetch stage, so purely in-memory runs keep their metrics
   // shape.
@@ -1049,34 +1144,34 @@ void RunQuery(const storage::StorageBackend& backend,
 }
 
 ScanResult BestScan(const storage::StorageBackend& backend,
-                    const EngineOptions& options, const SignatureIndex* index,
+                    const EngineOptions& options, const CascadeState& state,
                     const Series& query, ScanCall& call) {
   ScanResult result;
   result.best_distance = kInf;
   BestCollector collector(&result);
-  RunQuery(backend, options, index, query, collector, &result.counter, call);
+  RunQuery(backend, options, state, query, collector, &result.counter, call);
   return result;
 }
 
 std::vector<Neighbor> KnnScan(const storage::StorageBackend& backend,
                               const EngineOptions& options,
-                              const SignatureIndex* index, const Series& query,
+                              const CascadeState& state, const Series& query,
                               int k, StepCounter* counter, ScanCall& call) {
   StepCounter local;
   KnnCollector collector(k);
-  RunQuery(backend, options, index, query, collector,
+  RunQuery(backend, options, state, query, collector,
            counter != nullptr ? counter : &local, call);
   return collector.Take();
 }
 
 std::vector<Neighbor> RangeScan(const storage::StorageBackend& backend,
                                 const EngineOptions& options,
-                                const SignatureIndex* index,
+                                const CascadeState& state,
                                 const Series& query, double radius,
                                 StepCounter* counter, ScanCall& call) {
   StepCounter local;
   RangeCollector collector(radius);
-  RunQuery(backend, options, index, query, collector,
+  RunQuery(backend, options, state, query, collector,
            counter != nullptr ? counter : &local, call);
   return collector.Take();
 }
@@ -1171,6 +1266,28 @@ std::shared_ptr<const SignatureIndex> BuildIndex(
   return SignatureIndex::Build(backend, options.kind, options.index_dims);
 }
 
+/// The engine's cross-query cascade state: the signature index and one
+/// empty signature-row memo per spectral filter stage the normalized
+/// cascade holds, so wedge-only engines allocate nothing.
+std::unique_ptr<const CascadeState> BuildState(
+    const storage::StorageBackend& backend, const EngineOptions& options) {
+  auto state = std::make_unique<CascadeState>();
+  state->index = BuildIndex(backend, options);
+  const std::vector<StageKind>& stages = options.cascade.stages;
+  const auto holds = [&](StageKind kind) {
+    return std::find(stages.begin(), stages.end(), kind) != stages.end();
+  };
+  if (holds(StageKind::kVecSignature)) {
+    state->vec_rows = MemoFor(StageKind::kVecSignature, backend, options,
+                              backend.length());
+  }
+  if (holds(StageKind::kFftMagnitude)) {
+    state->fft_rows = MemoFor(StageKind::kFftMagnitude, backend, options,
+                              backend.length());
+  }
+  return state;
+}
+
 }  // namespace
 
 CascadeSpec CascadeSpec::ForAlgorithm(ScanAlgorithm algorithm,
@@ -1253,6 +1370,14 @@ EngineOptions EngineOptionsFrom(const ScanOptions& options,
   return out;
 }
 
+void SortRangeHits(std::vector<Neighbor>* hits) {
+  std::sort(hits->begin(), hits->end(),
+            [](const Neighbor& a, const Neighbor& b) {
+              return a.distance < b.distance ||
+                     (a.distance == b.distance && a.index < b.index);
+            });
+}
+
 void ParallelFor(std::size_t count, int num_threads,
                  const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
@@ -1315,7 +1440,7 @@ QueryEngine::QueryEngine(const FlatDataset& db, const EngineOptions& options)
   // the zero-copy default.
   backend_ = opened.ok() ? *std::move(opened)
                          : std::make_unique<storage::InMemoryBackend>(db);
-  index_ = BuildIndex(*backend_, options_);
+  state_ = BuildState(*backend_, options_);
 }
 
 QueryEngine::QueryEngine(std::unique_ptr<storage::StorageBackend> backend,
@@ -1324,8 +1449,10 @@ QueryEngine::QueryEngine(std::unique_ptr<storage::StorageBackend> backend,
   options_.cascade = options.cascade.Normalized(options.kind);
   ROTIND_CONTRACT(backend_ != nullptr,
                   "the backend-owning constructor needs a backend");
-  index_ = BuildIndex(*backend_, options_);
+  state_ = BuildState(*backend_, options_);
 }
+
+QueryEngine::~QueryEngine() = default;
 
 StatusOr<std::unique_ptr<QueryEngine>> QueryEngine::Open(
     const EngineOptions& options, const FlatDataset* in_memory_source) {
@@ -1348,7 +1475,7 @@ ScanResult QueryEngine::SearchLeaveOneOut(const Series& query,
                                           std::size_t holdout,
                                           obs::QueryMetrics* metrics) const {
   ScanCall call{.holdout = holdout, .metrics = metrics};
-  return BestScan(*backend_, options_, index_.get(), query, call);
+  return BestScan(*backend_, options_, *state_, query, call);
 }
 
 ScanResult QueryEngine::SearchShared(const Series& query, std::size_t holdout,
@@ -1356,7 +1483,7 @@ ScanResult QueryEngine::SearchShared(const Series& query, std::size_t holdout,
                                      obs::QueryMetrics* metrics) const {
   ROTIND_CONTRACT(shared != nullptr, "SearchShared needs a SharedBound");
   ScanCall call{.holdout = holdout, .metrics = metrics, .shared = shared};
-  return BestScan(*backend_, options_, index_.get(), query, call);
+  return BestScan(*backend_, options_, *state_, query, call);
 }
 
 std::vector<Neighbor> QueryEngine::Knn(const Series& query, int k,
@@ -1369,7 +1496,7 @@ std::vector<Neighbor> QueryEngine::KnnLeaveOneOut(
     const Series& query, int k, std::size_t holdout, StepCounter* counter,
     obs::QueryMetrics* metrics) const {
   ScanCall call{.holdout = holdout, .metrics = metrics};
-  return KnnScan(*backend_, options_, index_.get(), query, k, counter, call);
+  return KnnScan(*backend_, options_, *state_, query, k, counter, call);
 }
 
 std::vector<Neighbor> QueryEngine::KnnShared(
@@ -1377,14 +1504,14 @@ std::vector<Neighbor> QueryEngine::KnnShared(
     StepCounter* counter, obs::QueryMetrics* metrics) const {
   ROTIND_CONTRACT(shared != nullptr, "KnnShared needs a SharedBound");
   ScanCall call{.holdout = holdout, .metrics = metrics, .shared = shared};
-  return KnnScan(*backend_, options_, index_.get(), query, k, counter, call);
+  return KnnScan(*backend_, options_, *state_, query, k, counter, call);
 }
 
 std::vector<Neighbor> QueryEngine::Range(const Series& query, double radius,
                                          StepCounter* counter,
                                          obs::QueryMetrics* metrics) const {
   ScanCall call{.metrics = metrics};
-  return RangeScan(*backend_, options_, index_.get(), query, radius, counter,
+  return RangeScan(*backend_, options_, *state_, query, radius, counter,
                    call);
 }
 
@@ -1431,7 +1558,7 @@ StatusOr<ScanResult> QueryEngine::SearchChecked(
     obs::QueryMetrics* metrics) const {
   return RunChecked(*this, query, Status::Ok(), cancel, metrics,
                     [&](ScanCall& call) {
-                      return BestScan(*backend_, options_, index_.get(),
+                      return BestScan(*backend_, options_, *state_,
                                       query, call);
                     });
 }
@@ -1441,7 +1568,7 @@ StatusOr<std::vector<Neighbor>> QueryEngine::KnnChecked(
     const CancelToken* cancel, obs::QueryMetrics* metrics) const {
   return RunChecked(*this, query, ValidateK(k), cancel, metrics,
                     [&](ScanCall& call) {
-                      return KnnScan(*backend_, options_, index_.get(),
+                      return KnnScan(*backend_, options_, *state_,
                                      query, k, counter, call);
                     });
 }
@@ -1451,7 +1578,7 @@ StatusOr<std::vector<Neighbor>> QueryEngine::RangeChecked(
     const CancelToken* cancel, obs::QueryMetrics* metrics) const {
   return RunChecked(*this, query, ValidateRadius(radius), cancel, metrics,
                     [&](ScanCall& call) {
-                      return RangeScan(*backend_, options_, index_.get(), query,
+                      return RangeScan(*backend_, options_, *state_, query,
                                        radius, counter, call);
                     });
 }

@@ -22,7 +22,7 @@
 
 namespace rotind {
 
-class SignatureIndex;
+struct CascadeState;
 
 /// One stage of the pruning cascade. A cascade is an optional source
 /// stage that orders the visit, then an ordered list of filters followed by
@@ -46,14 +46,19 @@ enum class StageKind {
   /// Filter: rotation-invariant FFT-magnitude lower bound (paper Section
   /// 4.2), charged n*log2(n) steps per candidate (Section 5.3). Runs as the
   /// kVecSignature filter at full resolution (dims = n/2, one band per
-  /// bin), where the two bounds are equal; never reads stored rows. Sound
-  /// for kEuclidean only; dropped for other measures.
+  /// bin), where the two bounds are equal. Each candidate's magnitudes are
+  /// computed once per engine, by the first query that reaches it, and
+  /// memoized; every later query reads them, and the charge stays
+  /// n*log2(n) either way. Never reads stored rows. Sound for kEuclidean
+  /// only; dropped for other measures.
   kFftMagnitude,
   /// Filter: band-pooled rotation/mirror-invariant vector embedding
-  /// (fourier::VecSignature) — cheaper per candidate than the FFT filter
-  /// when the database carries a RIDX v2 signature section (the stored
-  /// rows are compared directly; otherwise candidates are embedded on the
-  /// fly). Sound for kEuclidean only; dropped for other measures.
+  /// (fourier::VecSignature). A database whose RIDX v2 signature section
+  /// fits the series length supplies every row up front, charged dims
+  /// steps per candidate; otherwise each candidate is embedded once per
+  /// engine into a memo like kFftMagnitude's, charged n*log2(n) per
+  /// candidate on every query like the FFT filter. Sound for kEuclidean
+  /// only; dropped for other measures.
   kVecSignature,
   /// Filter: two-pass LB_Improved (Lemire) against the query's rotation
   /// wedge — the second-chance stage after LB_Keogh fails to prune. Sound
@@ -109,7 +114,7 @@ struct EngineOptions {
   /// when the file was written). Unused without the stage.
   std::size_t index_dims = 16;
   /// Dimensionality of the kVecSignature filter's pooled embedding when the
-  /// backend has no stored RIDX v2 rows (clamped to n/2 per query). A
+  /// backend has no stored RIDX v2 rows (clamped to [1, n/2]). A
   /// file backend with a signature section overrides this: the stored
   /// dimensionality is authoritative, since both sides must agree.
   std::size_t vec_sig_dims = 8;
@@ -124,6 +129,11 @@ struct EngineOptions {
 /// that reproduces it exactly. Used by the benches, tests, and the CLI.
 EngineOptions EngineOptionsFrom(const ScanOptions& options,
                                 ScanAlgorithm algorithm);
+
+/// Sorts range hits into the one order every range result comes back in:
+/// ascending distance, equal distances by ascending index, so the order
+/// never depends on which order a scan visited the candidates in.
+void SortRangeHits(std::vector<Neighbor>* hits);
 
 /// Runs fn(i) for every i in [0, count) across a small worker pool of
 /// `num_threads` threads (clamped to [1, count], and additionally capped at
@@ -203,10 +213,15 @@ class SharedBound {
 /// zero-copy in-memory borrow by default, the paper's simulated-disk
 /// accounting, or a real paged index file behind a BufferPool — selected by
 /// EngineOptions::storage. A borrowed FlatDataset must outlive the engine.
-/// All search methods are const and thread-compatible: concurrent calls on
-/// one engine are safe because per-query state (rotation sets, wedge trees,
-/// signatures) is built per call and the backends are internally
-/// synchronized — this is what SearchBatch relies on.
+/// All search methods are const and safe to call concurrently on one
+/// engine — this is what SearchBatch relies on. Per-query state (rotation
+/// sets, wedge trees, query signatures) is built per call; the backends
+/// are internally synchronized; the signature index is immutable once
+/// built; and the signature-row memo of the kVecSignature/kFftMagnitude
+/// stages is internally synchronized without a lock (each row is claimed
+/// and published through its own atomic, and a query that loses a claim
+/// uses its own copy). A row is a pure function of the candidate's bytes,
+/// so answers and counters never depend on which query filled it.
 class QueryEngine {
  public:
   /// Engine over contiguous storage (the fast path). Honors
@@ -234,6 +249,8 @@ class QueryEngine {
 
   /// Borrowing a temporary database would dangle immediately; forbidden.
   explicit QueryEngine(FlatDataset&&, const EngineOptions& = {}) = delete;
+
+  ~QueryEngine();
 
   const EngineOptions& options() const { return options_; }
   /// The storage candidates are fetched from (never null).
@@ -265,7 +282,8 @@ class QueryEngine {
                                        obs::QueryMetrics* metrics = nullptr)
       const;
 
-  /// Range query: every object within `radius`, ascending by distance.
+  /// Range query: every object within `radius`, ascending by distance,
+  /// equal distances by index (see SortRangeHits).
   std::vector<Neighbor> Range(const Series& query, double radius,
                               StepCounter* counter = nullptr,
                               obs::QueryMetrics* metrics = nullptr) const;
@@ -350,9 +368,10 @@ class QueryEngine {
  private:
   std::unique_ptr<storage::StorageBackend> backend_;
   EngineOptions options_;
-  /// Built once at construction when the cascade has a kSignatureIndex
-  /// stage (null otherwise); immutable, so concurrent queries share it.
-  std::shared_ptr<const SignatureIndex> index_;
+  /// What the cascade's stages keep across queries: the signature index
+  /// and the signature-row memos, each built at construction only when
+  /// the normalized cascade holds its stage (never null itself).
+  std::unique_ptr<const CascadeState> state_;
 };
 
 }  // namespace rotind

@@ -14,6 +14,7 @@
 #include "src/core/random.h"
 #include "src/datasets/synthetic.h"
 #include "src/search/engine.h"
+#include "tests/testing/counters.h"
 
 namespace rotind {
 namespace {
@@ -35,14 +36,7 @@ std::vector<Series> MakeQueries(const FlatDataset& db, std::size_t count,
   return queries;
 }
 
-void ExpectCountersEqual(const StepCounter& a, const StepCounter& b,
-                         const std::string& label) {
-  EXPECT_EQ(a.steps, b.steps) << label;
-  EXPECT_EQ(a.setup_steps, b.setup_steps) << label;
-  EXPECT_EQ(a.lower_bound_evals, b.lower_bound_evals) << label;
-  EXPECT_EQ(a.full_evals, b.full_evals) << label;
-  EXPECT_EQ(a.early_abandons, b.early_abandons) << label;
-}
+using testing::ExpectCountersEqual;
 
 class EngineBatchTest : public ::testing::TestWithParam<DistanceKind> {};
 

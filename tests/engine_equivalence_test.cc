@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/core/flat_dataset.h"
@@ -24,6 +27,7 @@
 #include "src/search/scan.h"
 #include "src/storage/backend.h"
 #include "src/storage/manifest.h"
+#include "tests/testing/counters.h"
 
 namespace rotind {
 namespace {
@@ -306,10 +310,11 @@ TEST_P(BackendEquivalenceTest, AllBackendsReturnBitIdenticalResults) {
         EXPECT_EQ(got.best_index, ref.best_index) << label;
         EXPECT_EQ(got.best_distance, ref.best_distance) << label;
         // The vec-signature filter reads stored RIDX v2 rows on the file
-        // backend (O(dims) per candidate) but embeds on the fly elsewhere
-        // (one FFT per candidate): answers are bit-identical — the stored
-        // rows hold the very doubles the embedding recomputes — but step
-        // ACCOUNTING legitimately differs, so only that assert is gated.
+        // backend (charged dims steps per candidate) but memoizes its own
+        // embeddings elsewhere (charged one FFT per candidate): answers are
+        // bit-identical — the stored rows hold the very doubles the
+        // embedding computes — but step ACCOUNTING legitimately differs,
+        // so only that assert is gated.
         const bool steps_comparable =
             !HasStage(cascade, StageKind::kVecSignature);
         if (steps_comparable) {
@@ -597,6 +602,219 @@ TEST_P(ShardEquivalenceTest, ShardedMatchesMonolithicOverLiveRows) {
           }
         }
       }
+    }
+  }
+  for (const std::string& path : scratch_files) std::remove(path.c_str());
+}
+
+using testing::ExpectCountersEqual;
+using testing::ExpectSameCounters;
+
+/// The spectral filters (vecsig, fft) read each candidate's signature row
+/// from a per-engine memo that the first query to reach the candidate
+/// fills. Whether a row was a miss or a hit, and which thread filled it,
+/// must be invisible: same answers, same step counts, same per-stage
+/// counts, on the in-memory and simulated backends.
+class SignatureMemoTest
+    : public ::testing::TestWithParam<std::tuple<StageKind,
+                                                 storage::BackendKind>> {
+ protected:
+  void SetUp() override {
+    items_ = MakeProjectilePointsDatabase(40, 48, 901);
+    flat_ = FlatDataset::FromItems(items_);
+    for (const std::size_t qi : {0u, 5u, 17u, 33u}) {
+      queries_.push_back(items_[qi]);
+      Series probe = RotateLeft(items_[qi], 11);
+      for (std::size_t j = 0; j < probe.size(); ++j) {
+        probe[j] += 0.02 * static_cast<double>(j % 3);
+      }
+      queries_.push_back(probe);
+    }
+  }
+
+  /// A fresh engine: its memo holds no rows yet.
+  std::unique_ptr<QueryEngine> Fresh() const {
+    EngineOptions options;
+    options.cascade.stages = {std::get<0>(GetParam()), StageKind::kExactScan};
+    options.storage.backend = std::get<1>(GetParam());
+    auto engine = QueryEngine::Open(options, &flat_);
+    EXPECT_TRUE(engine.ok()) << engine.status().message();
+    return engine.ok() ? *std::move(engine) : nullptr;
+  }
+
+  std::vector<Series> items_;
+  FlatDataset flat_;
+  std::vector<Series> queries_;
+};
+
+TEST_P(SignatureMemoTest, MissThenHitIsIdentical) {
+  const auto engine = Fresh();
+  ASSERT_NE(engine, nullptr);
+  for (const Series& query : queries_) {
+    obs::QueryMetrics miss_metrics;
+    obs::QueryMetrics hit_metrics;
+    const ScanResult miss = engine->Search(query, &miss_metrics);
+    const ScanResult hit = engine->Search(query, &hit_metrics);
+    EXPECT_EQ(hit.best_index, miss.best_index);
+    EXPECT_EQ(hit.best_distance, miss.best_distance);
+    EXPECT_EQ(hit.best_shift, miss.best_shift);
+    EXPECT_EQ(hit.best_mirrored, miss.best_mirrored);
+    ExpectCountersEqual(hit.counter, miss.counter, "hit vs miss");
+    ExpectSameCounters(hit_metrics, miss_metrics, "hit vs miss");
+  }
+}
+
+TEST_P(SignatureMemoTest, RacingBatchMatchesSerialBitForBit) {
+  const auto serial = Fresh();
+  const auto racing = Fresh();
+  ASSERT_NE(serial, nullptr);
+  ASSERT_NE(racing, nullptr);
+  StepCounter serial_steps;
+  StepCounter racing_steps;
+  obs::QueryMetrics serial_metrics;
+  obs::QueryMetrics racing_metrics;
+  const auto want =
+      serial->KnnSearchBatch(queries_, 3, 1, &serial_steps, &serial_metrics);
+  // Eight workers on a cold memo: every row is contended.
+  const auto got =
+      racing->KnnSearchBatch(queries_, 3, 8, &racing_steps, &racing_metrics);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t q = 0; q < got.size(); ++q) {
+    ASSERT_EQ(got[q].size(), want[q].size()) << "query " << q;
+    for (std::size_t r = 0; r < got[q].size(); ++r) {
+      EXPECT_EQ(got[q][r].index, want[q][r].index) << q << "/" << r;
+      EXPECT_EQ(got[q][r].distance, want[q][r].distance) << q << "/" << r;
+      EXPECT_EQ(got[q][r].shift, want[q][r].shift) << q << "/" << r;
+      EXPECT_EQ(got[q][r].mirrored, want[q][r].mirrored) << q << "/" << r;
+    }
+  }
+  ExpectCountersEqual(racing_steps, serial_steps, "8 threads vs 1");
+  ExpectSameCounters(racing_metrics, serial_metrics, "8 threads vs 1");
+}
+
+TEST_P(SignatureMemoTest, HoldoutQueriesAreExact) {
+  const auto engine = Fresh();
+  ASSERT_NE(engine, nullptr);
+  EngineOptions plain_options;
+  plain_options.cascade.stages = {StageKind::kExactScan};
+  const QueryEngine plain(flat_, plain_options);
+  // Each holdout leaves its own row unfilled until a later query with a
+  // different holdout reaches it.
+  for (const std::size_t qi : {3u, 21u, 3u, 39u, 21u}) {
+    const Series& query = items_[qi];
+    const ScanResult want = plain.SearchLeaveOneOut(query, qi);
+    const ScanResult got = engine->SearchLeaveOneOut(query, qi);
+    EXPECT_EQ(got.best_index, want.best_index) << "q" << qi;
+    EXPECT_EQ(got.best_distance, want.best_distance) << "q" << qi;
+    const auto want_knn = plain.KnnLeaveOneOut(query, 3, qi);
+    const auto got_knn = engine->KnnLeaveOneOut(query, 3, qi);
+    ASSERT_EQ(got_knn.size(), want_knn.size()) << "q" << qi;
+    for (std::size_t r = 0; r < got_knn.size(); ++r) {
+      EXPECT_EQ(got_knn[r].index, want_knn[r].index) << "q" << qi;
+      EXPECT_EQ(got_knn[r].distance, want_knn[r].distance) << "q" << qi;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FiltersAndBackends, SignatureMemoTest,
+    ::testing::Combine(::testing::Values(StageKind::kVecSignature,
+                                         StageKind::kFftMagnitude),
+                       ::testing::Values(storage::BackendKind::kInMemory,
+                                         storage::BackendKind::kSimulated)),
+    [](const ::testing::TestParamInfo<
+        std::tuple<StageKind, storage::BackendKind>>& p) {
+      std::string name = std::get<0>(p.param) == StageKind::kVecSignature
+                             ? "vecsig"
+                             : "fft";
+      name += std::get<1>(p.param) == storage::BackendKind::kInMemory
+                  ? "_memory"
+                  : "_simulated";
+      return name;
+    });
+
+/// Range hits at exactly equal distance come back in database order, on
+/// every path: a database holding every row twice (copies far apart, so
+/// they land in different shards and, under the index stage, in different
+/// visit positions) answers a radius covering everything with one
+/// identical vector from the plain scan, the signature index stage, and
+/// sharded serial and parallel range.
+TEST(RangeTieOrderTest, EqualDistancesComeBackInIndexOrder) {
+  const std::vector<Series> distinct =
+      MakeProjectilePointsDatabase(20, 36, 951);
+  std::vector<Series> rows = distinct;
+  rows.insert(rows.end(), distinct.begin(), distinct.end());
+  const FlatDataset flat = FlatDataset::FromItems(rows);
+
+  EngineOptions options;
+  options.index_dims = kIndexDims;
+  options.cascade.stages = {StageKind::kExactScan};
+  const QueryEngine plain(flat, options);
+  EngineOptions indexed_options = options;
+  indexed_options.cascade.stages = {StageKind::kSignatureIndex,
+                                    StageKind::kExactScan};
+  const QueryEngine indexed(flat, indexed_options);
+
+  const std::string prefix =
+      "/tmp/rotind_rangetie." + std::to_string(::getpid());
+  IndexBuildOptions build;
+  build.sig_dims = kIndexDims;
+  build.paa_dims = kIndexDims;
+  storage::Manifest manifest;
+  manifest.generation = 1;
+  std::vector<std::string> scratch_files = {prefix + ".rman"};
+  constexpr std::size_t kShards = 3;
+  for (std::size_t s = 0, row = 0; s < kShards; ++s) {
+    const std::size_t count =
+        rows.size() / kShards + (s < rows.size() % kShards ? 1 : 0);
+    const std::string file = "rotind_rangetie." + std::to_string(::getpid()) +
+                             "." + std::to_string(s) + ".ridx";
+    Dataset part;
+    part.items.assign(rows.begin() + static_cast<std::ptrdiff_t>(row),
+                      rows.begin() + static_cast<std::ptrdiff_t>(row + count));
+    ASSERT_TRUE(BuildIndexFile(part, build, "/tmp/" + file).ok());
+    scratch_files.push_back("/tmp/" + file);
+    manifest.shards.push_back(storage::ManifestShard{
+        file, static_cast<std::uint64_t>(count), 36});
+    row += count;
+  }
+  ASSERT_TRUE(storage::WriteManifest(manifest, prefix + ".rman").ok());
+
+  for (const std::size_t qi : {0u, 7u}) {
+    const Series& query = distinct[qi];
+    const auto all = plain.Knn(query, static_cast<int>(rows.size()));
+    ASSERT_EQ(all.size(), rows.size());
+    const double radius = all.back().distance;
+    const std::vector<Neighbor> want = plain.Range(query, radius);
+    ASSERT_EQ(want.size(), rows.size());
+    for (std::size_t r = 1; r < want.size(); ++r) {
+      ASSERT_TRUE(want[r - 1].distance < want[r].distance ||
+                  (want[r - 1].distance == want[r].distance &&
+                   want[r - 1].index < want[r].index))
+          << "hit " << r;
+    }
+
+    const auto expect_same = [&](const std::vector<Neighbor>& got,
+                                 const std::string& label) {
+      ASSERT_EQ(got.size(), want.size()) << label;
+      for (std::size_t r = 0; r < got.size(); ++r) {
+        EXPECT_EQ(got[r].index, want[r].index) << label << " hit " << r;
+        EXPECT_EQ(got[r].distance, want[r].distance) << label << " hit " << r;
+        EXPECT_EQ(got[r].shift, want[r].shift) << label << " hit " << r;
+        EXPECT_EQ(got[r].mirrored, want[r].mirrored) << label << " hit " << r;
+      }
+    };
+    expect_same(indexed.Range(query, radius), "index+ea");
+    for (const bool parallel : {false, true}) {
+      ShardedOptions sharded_options;
+      sharded_options.parallel_search = parallel;
+      sharded_options.num_threads = 3;
+      sharded_options.engine = options;
+      auto sharded = ShardedIndex::Open(prefix + ".rman", sharded_options);
+      ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+      StatusOr<std::vector<Neighbor>> got = (*sharded)->Range(query, radius);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      expect_same(*got, parallel ? "sharded/parallel" : "sharded/serial");
     }
   }
   for (const std::string& path : scratch_files) std::remove(path.c_str());

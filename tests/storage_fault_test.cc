@@ -327,9 +327,10 @@ TEST(FaultInjectingBackendTest, BlockedCascadeStillFetchesThroughDecorator) {
 }
 
 /// Nor the file backend's stored RIDX v2 signature rows: through a clean
-/// decorator the vec-signature filter embeds every fetched candidate on
-/// the fly, so its step counts equal the in-memory engine's, not the
-/// cheaper stored-row lookups of the bare file backend.
+/// decorator the vec-signature filter fills its own signature-row memo
+/// from the fetched candidates, charged one FFT per candidate, so its step
+/// counts equal the in-memory engine's, not the cheaper stored-row
+/// lookups of the bare file backend.
 TEST(FaultInjectingBackendTest, StoredSignatureRowsAreNotForwarded) {
   const std::vector<Series> items =
       MakeProjectilePointsDatabase(24, 40, 304);

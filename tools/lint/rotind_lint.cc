@@ -596,7 +596,8 @@ std::vector<Finding> CheckAtomicAllowlist(const std::vector<SourceFile>& files) 
   //   search/engine.h      SharedBound: the cross-shard best-so-far CAS-min
   //                        (a mutex would serialize the parallel scans it
   //                        exists to speed up)
-  //   search/engine.cc     ParallelFor work counter / failure latch
+  //   search/engine.cc     ParallelFor work counter / failure latch;
+  //                        the signature-row memo's per-row claims
   //   serve/server.h       the server kill-switch (SYNC-EXEMPT'd member)
   //   storage/simulated_disk.h  concurrent fetch tallies
   static const std::set<std::string> kAllowed = {
